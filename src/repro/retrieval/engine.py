@@ -43,9 +43,13 @@ from repro.retrieval.metrics import (
     PAPER_MAP_DEPTH,
     PAPER_PN_POINTS,
     PRCurve,
-    mean_average_precision_from_distances,
-    pr_curve_hamming,
-    precision_at_n,
+    _check_depths,
+    _check_rank_inputs,
+    _mean_average_precision,
+    _pr_curve,
+    _precision_at,
+    _ranked_relevance,
+    _sort_key,
 )
 from repro.retrieval.protocol import relevance_matrix
 from repro.utils.validation import check_binary_codes
@@ -289,24 +293,30 @@ def evaluate_codes(
     ``backend`` optionally routes distance computation through a registered
     serving backend (``"bruteforce"``, ``"multi-index"``, or an instance)
     instead of the direct BLAS path; all backends are exact, so the metrics
-    are identical either way.
+    are identical either way.  Distances are ranked once and MAP, P@N and
+    the PR curve all read that one ranking.
     """
+    _check_depths(top_n, pn_points)
     relevance = relevance_matrix(query_labels, db_labels)
-    if backend is None:
-        distances = hamming_distance_matrix(query_codes, db_codes)
-    else:
-        distances = _backend_distance_matrix(backend, query_codes, db_codes)
-    usable_points = tuple(p for p in pn_points if p <= db_codes.shape[0])
+    # Distances are computed once and kept only as the integer sort key,
+    # which every metric below reads.
+    key = _sort_key(
+        hamming_distance_matrix(query_codes, db_codes) if backend is None
+        else _backend_distance_matrix(backend, query_codes, db_codes)
+    )
+    _check_rank_inputs(key, relevance)
+    n_db = db_codes.shape[0]
+    usable_points = tuple(p for p in pn_points if p <= n_db)
     if not usable_points and pn_points:
         # Every requested point exceeds the database; clamp to its size
         # (order-independent — pn_points need not be sorted).
-        usable_points = (db_codes.shape[0],)
+        usable_points = (n_db,)
+    top_n = min(top_n, n_db)
+    ranked = _ranked_relevance(key, relevance, max(top_n, *usable_points))
     return RetrievalReport(
-        map=mean_average_precision_from_distances(
-            distances, relevance, min(top_n, db_codes.shape[0])
-        ),
-        precision_at_n=precision_at_n(distances, relevance, usable_points),
-        pr_curve=pr_curve_hamming(query_codes, db_codes, relevance),
+        map=_mean_average_precision(ranked, top_n),
+        precision_at_n=_precision_at(ranked, usable_points),
+        pr_curve=_pr_curve(key, relevance, query_codes.shape[1]),
         n_bits=query_codes.shape[1],
     )
 

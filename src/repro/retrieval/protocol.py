@@ -24,4 +24,12 @@ def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndar
         raise ShapeError(
             f"label dimensions differ: {q.shape[1]} vs {d.shape[1]}"
         )
+    if _is_multi_hot(q) and _is_multi_hot(d):
+        # Counts of shared 0/1 labels are exact in float64, and the float
+        # product runs in BLAS (numpy's int64 matmul does not).
+        return (q.astype(np.float64) @ d.astype(np.float64).T) > 0
     return (q.astype(np.int64) @ d.astype(np.int64).T) > 0
+
+
+def _is_multi_hot(labels: np.ndarray) -> bool:
+    return bool(((labels == 0) | (labels == 1)).all())
