@@ -96,6 +96,10 @@ def restore_uhscm(
         )
 
     config_dict = dict(meta["config"])
+    # Older archives store a ``pool_backend`` execution-policy field that
+    # no longer exists (it never entered fingerprints); drop it so they
+    # still load.
+    config_dict.pop("pool_backend", None)
     config_dict["train"] = TrainConfig(**config_dict["train"])
     config = UHSCMConfig(**config_dict)
     model = UHSCM(

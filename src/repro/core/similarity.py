@@ -44,16 +44,14 @@ def similarity_from_distributions(
     sparse_topk: int | None = None,
     dtype: np.dtype | str | None = None,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ) -> "np.ndarray | SparseTopKSimilarity":
     """Eq. 3 / Eq. 6: pairwise cosine similarity of concept distributions.
 
     ``sparse_topk=None`` (default) returns the dense (n, n) array exactly
     as before; a positive k routes through the blocked kernel and returns
     the top-k CSR form, never materializing n².  ``workers`` parallelizes
-    the blocked kernel's row tiles and ``pool_backend`` picks thread or
-    process execution (bit-identical either way at any count; the dense
-    route ignores both — one GEMM, BLAS threads as it likes).
+    the blocked kernel's row tiles (bit-identical at any count; the dense
+    route ignores it — one GEMM, BLAS threads as it likes).
     """
     dist = np.asarray(
         distributions, dtype=np.float64 if dtype is None else dtype
@@ -65,8 +63,7 @@ def similarity_from_distributions(
     if sparse_topk is None:
         return cosine_similarity_matrix(dist, dtype=dist.dtype)
     return SparseTopKSimilarity.from_features(
-        dist, sparse_topk, dtype=dist.dtype, workers=workers,
-        pool_backend=pool_backend,
+        dist, sparse_topk, dtype=dist.dtype, workers=workers
     )
 
 
@@ -86,7 +83,6 @@ def _run_build_q(
     sparse_topk: int | None,
     out_of_core: bool,
     workers: int | None = None,
-    pool_backend: str | None = None,
 ):
     """Execute a build_q stage, streaming CSR buffers to disk when asked.
 
@@ -95,18 +91,15 @@ def _run_build_q(
     route needs the sparse form and a disk-backed store; anything else
     falls back to the heap build.  Both routes share the stage fingerprint
     and produce bit-identical payloads, so they replay each other's cached
-    artifacts freely.  ``workers``/``pool_backend`` fan the kernel's row
-    tiles out to the pool on both routes without changing a single output
-    bit — like ``workers`` and ``out_of_core``, the backend never enters
-    stage fingerprints.
+    artifacts freely.  ``workers`` fans the kernel's row tiles out to the
+    pool on both routes without changing a single output bit.
     """
     if (out_of_core and sparse_topk is not None
             and store.cache_dir is not None):
 
         def build(writer) -> dict:
             matrix = SparseTopKSimilarity.from_features_streaming(
-                get_features(), sparse_topk, writer.create, workers=workers,
-                pool_backend=pool_backend,
+                get_features(), sparse_topk, writer.create, workers=workers
             )
             meta, _ = matrix.payload()
             return {"concepts": list(concepts), **meta}
@@ -117,8 +110,7 @@ def _run_build_q(
         stage,
         lambda: _q_payload(
             similarity_from_distributions(
-                get_features(), sparse_topk=sparse_topk, workers=workers,
-                pool_backend=pool_backend,
+                get_features(), sparse_topk=sparse_topk, workers=workers
             ),
             concepts,
         ),
@@ -188,11 +180,6 @@ class SemanticSimilarityGenerator:
         Worker count for the sparse kernel's row-tile fan-out (``None``
         reads ``$REPRO_WORKERS``).  Pure execution policy: outputs are
         bit-identical at any value, so it never enters stage fingerprints.
-    pool_backend:
-        Pool execution mode for that fan-out — ``"thread"`` (default via
-        ``None`` → ``$REPRO_POOL``) or ``"process"`` for spawned workers
-        over shared-memory operands.  Execution policy like ``workers``:
-        bit-identical outputs, never fingerprinted.
     """
 
     def __init__(
@@ -205,7 +192,6 @@ class SemanticSimilarityGenerator:
         sparse_topk: int | None = None,
         out_of_core: bool = False,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
         if not concepts:
             raise ConfigurationError("candidate concept set is empty")
@@ -224,7 +210,6 @@ class SemanticSimilarityGenerator:
         self.sparse_topk = sparse_topk
         self.out_of_core = out_of_core
         self.workers = workers
-        self.pool_backend = pool_backend
 
     def _generate_single(
         self, images: np.ndarray, template: PromptTemplate | str | None
@@ -241,7 +226,7 @@ class SemanticSimilarityGenerator:
         return SimilarityResult(
             matrix=similarity_from_distributions(
                 distributions, sparse_topk=self.sparse_topk,
-                workers=self.workers, pool_backend=self.pool_backend,
+                workers=self.workers,
             ),
             concepts=concepts,
             denoising=denoising,
@@ -326,7 +311,6 @@ class SemanticSimilarityGenerator:
         q_art = _run_build_q(
             store, q_stage, lambda: final_distributions, concepts,
             self.sparse_topk, self.out_of_core, workers=self.workers,
-            pool_backend=self.pool_backend,
         )
         return SimilarityResult(
             matrix=similarity_from_payload(q_art.meta, q_art.arrays),
@@ -409,13 +393,11 @@ class ImageFeatureSimilarityGenerator:
         sparse_topk: int | None = None,
         out_of_core: bool = False,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
         self.clip = clip
         self.sparse_topk = sparse_topk
         self.out_of_core = out_of_core
         self.workers = workers
-        self.pool_backend = pool_backend
 
     def _build_matrix(
         self, images: np.ndarray
@@ -424,8 +406,7 @@ class ImageFeatureSimilarityGenerator:
         if self.sparse_topk is None:
             return cosine_similarity_matrix(features)
         return SparseTopKSimilarity.from_features(
-            features, self.sparse_topk, workers=self.workers,
-            pool_backend=self.pool_backend,
+            features, self.sparse_topk, workers=self.workers
         )
 
     def generate(
@@ -450,7 +431,6 @@ class ImageFeatureSimilarityGenerator:
                     store, stage,
                     lambda: self.clip.image_features(images), (),
                     self.sparse_topk, self.out_of_core, workers=self.workers,
-                    pool_backend=self.pool_backend,
                 )
             else:
                 art = run_stage(

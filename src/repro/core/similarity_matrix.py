@@ -180,20 +180,16 @@ class SparseTopKSimilarity(SimilarityMatrix):
         block_rows: int = 512,
         dtype: np.dtype | str | None = None,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> "SparseTopKSimilarity":
         """Build from raw feature rows via the blocked pairwise-cosine kernel.
 
         ``workers`` dispatches the kernel's row-block tiles to the shared
-        worker pool (``None`` = ``$REPRO_WORKERS``); ``pool_backend``
-        selects its execution mode (``None`` = ``$REPRO_POOL`` → thread,
-        ``"process"`` for spawned workers over shared memory).  Results
-        are bit-identical at any worker count on either backend.
+        worker pool (``None`` = ``$REPRO_WORKERS``); results are
+        bit-identical at any worker count.
         """
         features = np.atleast_2d(features)
         data, indices, indptr = blocked_topk_cosine(
-            features, k, block_rows=block_rows, dtype=dtype, workers=workers,
-            pool_backend=pool_backend,
+            features, k, block_rows=block_rows, dtype=dtype, workers=workers
         )
         return cls(data, indices, indptr, n=features.shape[0], k=k)
 
@@ -207,7 +203,6 @@ class SparseTopKSimilarity(SimilarityMatrix):
         dtype: np.dtype | str | None = None,
         max_block_bytes: int = 256 * 1024 * 1024,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> "SparseTopKSimilarity":
         """Out-of-core build: CSR buffers allocated via ``create_array``.
 
@@ -215,16 +210,14 @@ class SparseTopKSimilarity(SimilarityMatrix):
         disk-resident) destination arrays — see
         :func:`repro.utils.mathops.streaming_topk_cosine`, which this
         wraps.  Values are bit-identical to :meth:`from_features` at equal
-        effective block height (and, via ``workers``/``pool_backend``, at
-        any worker count on either backend — pooled tiles GEMM against
-        the one scratch memmap, which process workers open by path, and
-        the disjoint CSR row ranges are written exactly once).
+        effective block height (and, via ``workers``, at any worker
+        count — pooled tiles GEMM against the one scratch memmap and
+        write disjoint CSR row ranges).
         """
         features = np.atleast_2d(features)
         data, indices, indptr = streaming_topk_cosine(
             features, k, create_array, block_rows=block_rows, dtype=dtype,
             max_block_bytes=max_block_bytes, workers=workers,
-            pool_backend=pool_backend,
         )
         return cls(data, indices, indptr, n=features.shape[0], k=k)
 

@@ -164,12 +164,7 @@ class UHSCMTrainer:
 
         history = TrainHistory()
         self.network.train()
-        # Always thread-backed: the prefetch closure captures the model's
-        # inputs and Q in-process (unpicklable, and latency-bound anyway).
-        # config.pool_backend deliberately reaches only the Q-build
-        # kernels, so a process-backend training config still trains.
-        pool, owned = as_pool(self.config.workers, name="train",
-                              backend="thread")
+        pool, owned = as_pool(self.config.workers, name="train")
         try:
             for _ in range(epochs):
                 order = self.rng.permutation(n)

@@ -54,7 +54,6 @@ from repro.retrieval.sharded import MISSING_ID
 from repro.serving.batcher import EncodeBatcher
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.metrics import LatencyHistogram
-from repro.utils.parallel import require_thread_backend
 
 #: Store stage names owned by the serving layer.
 MODEL_STAGE = "serve_model"
@@ -166,14 +165,6 @@ class HashingService:
         (``None`` reads ``$REPRO_WORKERS``; ``1`` keeps the serial probe
         loop).  Surfaced in :meth:`stats` and :meth:`health`; merged
         results are bit-identical at any value.
-    pool_backend:
-        Must be ``"thread"`` or ``None`` — the serving fan-out is
-        latency-bound and shares live index state, so it is thread-only;
-        an explicit ``"process"`` raises
-        :class:`~repro.errors.ConfigurationError` at construction (the
-        process backend belongs to the offline Q-build kernels).  The
-        effective backend is surfaced in :meth:`stats` and
-        :meth:`health`.
     """
 
     def __init__(
@@ -195,13 +186,7 @@ class HashingService:
         default_deadline_s: float | None = None,
         faults: FaultInjector = NULL_INJECTOR,
         workers: int | None = None,
-        pool_backend: str | None = None,
     ) -> None:
-        # Fail fast, and with the call-site name, even when the backend
-        # below is not sharded (the knob would otherwise be dropped).
-        self.pool_backend = require_thread_backend(
-            pool_backend, "HashingService fan-out"
-        )
         if max_pending is not None and max_pending <= 0:
             raise ConfigurationError(
                 f"max_pending must be positive (or None): {max_pending}"
@@ -229,7 +214,6 @@ class HashingService:
             options.setdefault("faults", faults)
             options.setdefault("clock", clock)
             options.setdefault("workers", workers)
-            options.setdefault("pool_backend", self.pool_backend)
         if cache_size:
             options.setdefault("cache_size", cache_size)
         self.index = make_backend(backend, self.n_bits, **options)
@@ -588,7 +572,6 @@ class HashingService:
             "degraded": degraded,
             "closed": self._closed,
             "workers": int(getattr(self.index, "workers", 1)),
-            "pool_backend": self.pool_backend,
             "circuits": circuits() if circuits is not None else [],
             "batcher": {
                 key: batcher[key]
@@ -620,7 +603,6 @@ class HashingService:
                 getattr(self.index, "shard_sizes", (len(self.index),))
             ),
             "workers": int(getattr(self.index, "workers", 1)),
-            "pool_backend": self.pool_backend,
             "batcher": self.batcher.stats(),
             "shed": self._shed,
             "deadline_exceeded": self._deadline_exceeded,

@@ -1,14 +1,24 @@
 """Tests for persistence, the CLI, prompt tuning, and the exporter."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.config import TrainConfig, UHSCMConfig
-from repro.core.persistence import load_uhscm, save_uhscm
+from repro.core.hashing_network import HashingNetwork
+from repro.core.persistence import (
+    load_uhscm,
+    model_payload,
+    restore_uhscm,
+    save_uhscm,
+)
 from repro.core.uhscm import UHSCM
 from repro.errors import ConfigurationError, NotFittedError
 from repro.experiments.export import write_experiments_md
+from repro.pipeline import ArtifactStore
+from repro.serving import publish_model
 from repro.vlp import SimCLIP, SemanticWorld, WorldConfig
 from repro.vlp.prompt_tuning import PromptTuner, tuned_concept_scores
 
@@ -104,6 +114,59 @@ class TestPersistence:
         loaded = load_uhscm(path, clip)
         assert loaded.concepts_mined is True
         assert loaded.mined_concepts == fitted_model.mined_concepts
+
+    @pytest.mark.parametrize("pool_backend", [None, "process"])
+    def test_legacy_pool_backend_key_dropped_on_restore(
+        self, fitted_model, clip, cifar_tiny, pool_backend
+    ):
+        """Archives from when the worker pool had a process backend store
+        ``pool_backend`` in their config; they must still load and encode
+        bit-identically."""
+        meta, arrays = model_payload(fitted_model)
+        legacy = dict(meta, config=dict(meta["config"],
+                                        pool_backend=pool_backend))
+        loaded = restore_uhscm(legacy, arrays, clip)
+        assert loaded.config == fitted_model.config
+        np.testing.assert_array_equal(
+            fitted_model.encode(cifar_tiny.query_images),
+            loaded.encode(cifar_tiny.query_images),
+        )
+
+    def test_publish_fingerprint_stable_across_pool_backend_removal(
+        self, clip, tmp_path
+    ):
+        """A fixed model (seeded, untrained parameters) publishes at the
+        address it had before the ``pool_backend`` field was removed."""
+        world = clip.world
+        feature_dim = world.backbone_features(
+            np.zeros((1, world.config.channels, world.config.image_size,
+                      world.config.image_size))
+        ).shape[1]
+        network = HashingNetwork(
+            16, mode="feature", feature_extractor=world.backbone_features,
+            feature_dim=feature_dim, rng=3,
+        )
+        config = asdict(UHSCMConfig(n_bits=16, seed=0))
+        meta = {
+            "format_version": 2, "concepts": ["cat", "dog"],
+            "concepts_mined": True, "mined_concepts": ["cat"],
+            "network_mode": "feature", "conv_profile": None,
+            "image_size": None, "contrastive": "mcl",
+            "world_seed": world.config.seed,
+        }
+        arrays = {f"param/{key}": value
+                  for key, value in network.net.state_dict().items()}
+        legacy_keys = ({}, {"pool_backend": None},
+                       {"pool_backend": "process"})
+        for i, legacy in enumerate(legacy_keys):
+            model = restore_uhscm(
+                dict(meta, config=dict(config, **legacy)), arrays, clip
+            )
+            store = ArtifactStore(tmp_path / f"store-{i}")
+            assert publish_model(store, model) == (
+                "b88b86a35983452de8141afaf248e324"
+                "ebaed0667a92a51ca41bd23a6c0bd885"
+            ), legacy
 
     def test_old_format_rejected_with_clear_error(self, clip, tmp_path):
         from repro.pipeline import write_archive
