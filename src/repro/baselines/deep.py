@@ -121,7 +121,4 @@ class DeepHasherBase(BaseHasher):
             self.loss_history.append(float(np.mean(epoch_losses)))
 
     def _encode_features(self, features: np.ndarray) -> np.ndarray:
-        self.net.train(False)
-        out = self.net(features)
-        self.net.train(True)
-        return out
+        return self.net.infer(features)

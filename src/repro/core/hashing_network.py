@@ -122,15 +122,17 @@ class HashingNetwork:
     # -- inference -------------------------------------------------------------
 
     def relaxed_codes(self, images: np.ndarray) -> np.ndarray:
-        """Eval-mode tanh outputs z for raw images, batched."""
+        """Eval-mode tanh outputs z for raw images, batched.
+
+        Uses :meth:`Module.infer`, so concurrent calls on one network
+        neither switch its mode nor touch its running statistics.
+        """
         if images.shape[0] == 0:
             raise NotFittedError("cannot encode an empty image batch")
-        self.net.train(False)
         outputs = []
         for start in range(0, images.shape[0], _ENCODE_BATCH):
             batch = images[start : start + _ENCODE_BATCH]
-            outputs.append(self.net(self.prepare_inputs(batch)))
-        self.net.train(True)
+            outputs.append(self.net.infer(self.prepare_inputs(batch)))
         return np.concatenate(outputs)
 
     def encode(self, images: np.ndarray) -> np.ndarray:

@@ -28,6 +28,11 @@ class Sequential(Module):
             x = m(x)
         return x
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for m in self._children:
+            x = m.infer(x)
+        return x
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad = grad_output
         for m in reversed(self._children):

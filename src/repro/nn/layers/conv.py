@@ -74,12 +74,32 @@ class Conv2d(Module):
         self._col_ring = [None, None]
         self._ring_owner = [None, None]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"Conv2d expected (n, {self.in_channels}, h, w), got {x.shape}"
             )
+        return x
+
+    def _project(self, cols: np.ndarray, n: int, out_h: int,
+                 out_w: int) -> np.ndarray:
+        """Weights (and bias) applied to the patch columns, as NCHW."""
+        w_mat = self.weight.data.reshape(self.out_channels, -1)  # (out_c, c*k*k)
+        out = cols @ w_mat.T  # (n*oh*ow, out_c)
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Forward into a fresh column buffer, leaving the ring alone."""
+        x = self._check_input(x)
+        cols, out_h, out_w = im2col(x, self.kernel_size, self.stride,
+                                    self.padding)
+        return self._project(cols, x.shape[0], out_h, out_w)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = self._check_input(x)
         slot = self._ring_slot
         self._ring_slot = 1 - slot
         cols, out_h, out_w = im2col(
@@ -90,15 +110,10 @@ class Conv2d(Module):
         self._fwd_seq += 1
         self._fwd_id = self._ring_owner[slot] = self._fwd_seq
         self._fwd_slot = slot
-        n = x.shape[0]
-        w_mat = self.weight.data.reshape(self.out_channels, -1)  # (out_c, c*k*k)
-        out = cols @ w_mat.T  # (n*oh*ow, out_c)
-        if self.bias is not None:
-            out = out + self.bias.data
         self._cols = cols
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        return self._project(cols, x.shape[0], out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cols is None or self._x_shape is None or self._out_hw is None:

@@ -31,6 +31,9 @@ class Dropout(Module):
         self._mask = (self._rng.random(x.shape) < keep).astype(self.dtype) / keep
         return x * self._mask
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=self.dtype)
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad = np.asarray(grad_output, dtype=self.dtype)
         if self._mask is None:

@@ -57,32 +57,43 @@ class _BatchNorm(Module):
         raise NotImplementedError
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return self.infer(x)
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
+        mean = x.mean(axis=self._reduce_axes)
+        centered = x - mean.reshape(self._shape_for_broadcast)
+        # One pass over the already-centered values instead of x.var()
+        # re-centering internally.
+        var = (centered * centered).mean(axis=self._reduce_axes)
+        m = self.momentum
+        # In-place so the registered buffers stay aliased.
+        self.running_mean *= 1 - m
+        self.running_mean += m * mean
+        self.running_var *= 1 - m
+        self.running_var += m * var
+        out, x_hat, inv_std = self._normalize(centered, var)
+        self._cache = (x_hat, inv_std, centered)
+        return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Normalise by the running statistics; reads, never writes, them."""
+        x = np.asarray(x, dtype=self.dtype)
+        self._check_input(x)
+        centered = x - self.running_mean.reshape(self._shape_for_broadcast)
+        return self._normalize(centered, self.running_var)[0]
+
+    def _normalize(
+        self, centered: np.ndarray, var: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(γ·x̂ + β, x̂, 1/σ)`` for centered input and per-channel var."""
         bshape = self._shape_for_broadcast
-        if self.training:
-            mean = x.mean(axis=self._reduce_axes)
-            centered = x - mean.reshape(bshape)
-            # One pass over the already-centered values instead of x.var()
-            # re-centering internally.
-            var = (centered * centered).mean(axis=self._reduce_axes)
-            m = self.momentum
-            # In-place so the registered buffers stay aliased.
-            self.running_mean *= 1 - m
-            self.running_mean += m * mean
-            self.running_var *= 1 - m
-            self.running_var += m * var
-        else:
-            mean, var = self.running_mean, self.running_var
-            centered = x - mean.reshape(bshape)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = centered * inv_std.reshape(bshape)
-        if self.training:
-            self._cache = (x_hat, inv_std, centered)
         # Fold scale and shift into one affine pass: γ·x̂ + β = x̂·γ + β.
         out = x_hat * self.gamma.data.reshape(bshape)
         out += self.beta.data.reshape(bshape)
-        return out
+        return out, x_hat, inv_std
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

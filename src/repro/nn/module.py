@@ -59,6 +59,16 @@ class Module:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward that never reads or sets ``training``.
+
+        Several threads may call it on one shared module at once: layers
+        whose forward depends on the mode (batch norm, dropout) or writes
+        a shared buffer (conv) override it.  For every other layer the
+        forward already is the eval computation.
+        """
+        return self.forward(x)
+
     # -- parameter access --------------------------------------------------
 
     def parameters(self) -> Iterator[Parameter]:

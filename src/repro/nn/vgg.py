@@ -149,7 +149,7 @@ class VGGHashNet(Module):
             rng=rng,
         )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1:] != (
             self.in_channels,
@@ -160,7 +160,13 @@ class VGGHashNet(Module):
                 f"expected (n, {self.in_channels}, {self.image_size}, "
                 f"{self.image_size}), got {x.shape}"
             )
-        return self.head(self.stem(x))
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.head(self.stem(self._check_input(x)))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.head.infer(self.stem.infer(self._check_input(x)))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return self.stem.backward(self.head.backward(grad_output))

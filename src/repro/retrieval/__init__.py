@@ -4,12 +4,10 @@ The backend registry (:mod:`repro.retrieval.backend`) exposes every index
 through the :class:`RetrievalBackend` protocol: ``"bruteforce"`` is the
 bit-packed linear scan, ``"multi-index"`` the sublinear MIH structure, and
 ``"sharded"`` hash-partitions rows across any of the others.  All support
-incremental ``add()``/``remove()`` plus an optional LRU query-result
-cache, and all agree bit-for-bit.
+incremental ``add()``/``remove()``, and all agree bit-for-bit.
 """
 
 from repro.retrieval.backend import (
-    QueryResultCache,
     RetrievalBackend,
     backend_names,
     backend_options,
@@ -53,7 +51,6 @@ __all__ = [
     "PAPER_PN_POINTS",
     "PRCurve",
     "PackedCodes",
-    "QueryResultCache",
     "RetrievalBackend",
     "RetrievalReport",
     "ShardedIndex",

@@ -1,4 +1,4 @@
-"""Retrieval serving backends: protocol, registry, and query-result cache.
+"""Retrieval serving backends: protocol and registry.
 
 The serving layer exposes every Hamming index through one interface so the
 evaluation harness, the CLI, and the benchmarks can swap implementations
@@ -15,9 +15,6 @@ freely:
   ``"sharded"`` is the hash-partitioned
   :class:`~repro.retrieval.sharded.ShardedIndex` composing any of the
   others as its shard type.  All are tested to agree bit-for-bit.
-- :class:`QueryResultCache` — an optional bounded LRU keyed on the packed
-  query bytes, for serving workloads with repeated queries.  Backends clear
-  it on every mutation, so cached results never go stale.
 
 Stable ids: rows are numbered in insertion order starting at 0 and keep
 their id for the lifetime of the index — ``remove()`` never renumbers.
@@ -28,8 +25,6 @@ concatenation of all ``add()`` calls.
 from __future__ import annotations
 
 import inspect
-from collections import OrderedDict
-from collections.abc import Hashable
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -141,110 +136,3 @@ def make_backend(name: str, n_bits: int, **kwargs) -> RetrievalBackend:
         )
     return factory(n_bits, **kwargs)
 
-
-class QueryResultCache:
-    """Bounded LRU cache for per-query retrieval results.
-
-    Keys are built by the owning index from the packed query bytes plus the
-    query parameters, so identical queries at identical settings hit.  The
-    index clears the cache on every ``add``/``remove``.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries <= 0:
-            raise ConfigurationError(
-                f"cache max_entries must be positive, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._data: OrderedDict[Hashable, object] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 before any)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def get(self, key: Hashable):
-        """Return the cached value (refreshing recency) or ``None``."""
-        try:
-            value = self._data.pop(key)
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data[key] = value
-        self.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        self._data.pop(key, None)
-        self._data[key] = value
-        while len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-def cached_topk(
-    cache: QueryResultCache,
-    packed_bits: np.ndarray,
-    top_k: int,
-    compute: Callable[[list[int]], tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared miss/fill loop for cached batched top-k serving.
-
-    ``packed_bits`` is the per-query key material (one packed uint8 row per
-    query); ``compute(miss_positions)`` returns ``(ids, distances)`` for
-    just that subset of queries.  Cached entries are stored as copies so a
-    caller mutating its results never corrupts the cache.
-    """
-    n_queries = packed_bits.shape[0]
-    out_ids = np.empty((n_queries, top_k), dtype=np.int64)
-    out_dist = np.empty((n_queries, top_k), dtype=np.float64)
-    misses = []
-    for qi in range(n_queries):
-        hit = cache.get(("top_k", top_k, packed_bits[qi].tobytes()))
-        if hit is None:
-            misses.append(qi)
-        else:
-            out_ids[qi], out_dist[qi] = hit
-    if misses:
-        fresh_ids, fresh_dist = compute(misses)
-        for pos, qi in enumerate(misses):
-            out_ids[qi], out_dist[qi] = fresh_ids[pos], fresh_dist[pos]
-            cache.put(
-                ("top_k", top_k, packed_bits[qi].tobytes()),
-                (fresh_ids[pos].copy(), fresh_dist[pos].copy()),
-            )
-    return out_ids, out_dist
-
-
-def cached_radius(
-    cache: QueryResultCache,
-    packed_bits: np.ndarray,
-    radius: int,
-    compute: Callable[[list[int]], "list[np.ndarray]"],
-) -> "list[np.ndarray]":
-    """Shared miss/fill loop for cached batched radius serving.
-
-    Like :func:`cached_topk` but for per-query hit lists: the cache keeps
-    the canonical arrays and every caller receives copies.
-    """
-    results: list[np.ndarray | None] = [None] * packed_bits.shape[0]
-    misses = []
-    for qi in range(packed_bits.shape[0]):
-        hit = cache.get(("radius", radius, packed_bits[qi].tobytes()))
-        if hit is None:
-            misses.append(qi)
-        else:
-            results[qi] = hit.copy()
-    if misses:
-        for qi, hits in zip(misses, compute(misses)):
-            cache.put(("radius", radius, packed_bits[qi].tobytes()), hits)
-            results[qi] = hits.copy()
-    return results

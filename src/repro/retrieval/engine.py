@@ -27,10 +27,7 @@ import numpy as np
 
 from repro.errors import NotFittedError, ShapeError
 from repro.retrieval.backend import (
-    QueryResultCache,
     RetrievalBackend,
-    cached_radius,
-    cached_topk,
     make_backend,
     register_backend,
 )
@@ -70,19 +67,15 @@ class HammingIndex:
     ----------
     n_bits:
         Code length ``k``.
-    cache_size:
-        If positive, keep an LRU :class:`QueryResultCache` of per-query
-        results, cleared on every ``add``/``remove``.
     """
 
-    def __init__(self, n_bits: int, cache_size: int = 0) -> None:
+    def __init__(self, n_bits: int) -> None:
         if n_bits <= 0:
             raise ShapeError(f"n_bits must be positive: {n_bits}")
         self.n_bits = n_bits
         self._bits = np.empty((0, (n_bits + 7) // 8), dtype=np.uint8)
         self._ids = np.empty(0, dtype=np.int64)
         self._next_id = 0
-        self._cache = QueryResultCache(cache_size) if cache_size else None
 
     # -- mutation ---------------------------------------------------------------
 
@@ -95,8 +88,6 @@ class HammingIndex:
             np.arange(self._next_id, self._next_id + len(packed), dtype=np.int64),
         ])
         self._next_id += len(packed)
-        if self._cache is not None:
-            self._cache.clear()
         return self
 
     def remove(self, ids: np.ndarray) -> int:
@@ -111,16 +102,12 @@ class HammingIndex:
         if removed:
             self._bits = self._bits[keep]
             self._ids = self._ids[keep]
-            if self._cache is not None:
-                self._cache.clear()
         return removed
 
     def clear(self) -> "HammingIndex":
         """Drop all rows (ids keep counting up across clears)."""
         self._bits = self._bits[:0]
         self._ids = self._ids[:0]
-        if self._cache is not None:
-            self._cache.clear()
         return self
 
     # -- introspection ----------------------------------------------------------
@@ -132,11 +119,6 @@ class HammingIndex:
     def storage_bytes(self) -> int:
         """Bytes used to store the database codes."""
         return int(self._bits.nbytes)
-
-    @property
-    def cache(self) -> QueryResultCache | None:
-        """The query-result cache, or ``None`` when caching is off."""
-        return self._cache
 
     # -- validation helpers -----------------------------------------------------
 
@@ -170,39 +152,28 @@ class HammingIndex:
                 f"top_k must be in [1, {len(packed_db)}], got {top_k}"
             )
         packed_q = self._pack(query_codes, "query_codes")
-
-        def compute(rows: PackedCodes) -> tuple[np.ndarray, np.ndarray]:
-            distances = packed_hamming_distance(rows, packed_db)
-            # Fold the id tie-break into one collision-free composite key
-            # (distance major, id minor): selection can then use O(n)
-            # argpartition instead of a full sort and still return exactly
-            # the stable (distance, id) ranking.  int32 keys when they fit
-            # (the common case) halve the partition's memory traffic.
-            ctype = (np.int32
-                     if (self.n_bits + 1) * self._next_id < 2**31
-                     else np.int64)
-            composite = distances.astype(ctype)
-            composite *= ctype(self._next_id)
-            composite += self._ids.astype(ctype)[None, :]
-            if top_k < distances.shape[1]:
-                part = np.argpartition(composite, top_k - 1, axis=1)[:, :top_k]
-                order = np.argsort(
-                    np.take_along_axis(composite, part, axis=1), axis=1
-                )
-                idx = np.take_along_axis(part, order, axis=1)
-            else:
-                idx = np.argsort(composite, axis=1)
-            dist = np.take_along_axis(distances, idx, axis=1).astype(np.float64)
-            return self._ids[idx], dist
-
-        if self._cache is None:
-            return compute(packed_q)
-        return cached_topk(
-            self._cache, packed_q.bits, top_k,
-            lambda misses: compute(
-                PackedCodes(bits=packed_q.bits[misses], n_bits=self.n_bits)
-            ),
-        )
+        distances = packed_hamming_distance(packed_q, packed_db)
+        # Fold the id tie-break into one collision-free composite key
+        # (distance major, id minor): selection can then use O(n)
+        # argpartition instead of a full sort and still return exactly
+        # the stable (distance, id) ranking.  int32 keys when they fit
+        # (the common case) halve the partition's memory traffic.
+        ctype = (np.int32
+                 if (self.n_bits + 1) * self._next_id < 2**31
+                 else np.int64)
+        composite = distances.astype(ctype)
+        composite *= ctype(self._next_id)
+        composite += self._ids.astype(ctype)[None, :]
+        if top_k < distances.shape[1]:
+            part = np.argpartition(composite, top_k - 1, axis=1)[:, :top_k]
+            order = np.argsort(
+                np.take_along_axis(composite, part, axis=1), axis=1
+            )
+            idx = np.take_along_axis(part, order, axis=1)
+        else:
+            idx = np.argsort(composite, axis=1)
+        dist = np.take_along_axis(distances, idx, axis=1).astype(np.float64)
+        return self._ids[idx], dist
 
     def radius_search(self, query_codes: np.ndarray, radius: int) -> list[np.ndarray]:
         """Hash-lookup: ids of all alive rows within Hamming radius per query."""
@@ -210,19 +181,8 @@ class HammingIndex:
         if not 0 <= radius <= self.n_bits:
             raise ShapeError(f"radius must be in [0, {self.n_bits}], got {radius}")
         packed_q = self._pack(query_codes, "query_codes")
-
-        def compute(rows: PackedCodes) -> list[np.ndarray]:
-            distances = packed_hamming_distance(rows, packed_db)
-            return [self._ids[row <= radius] for row in distances]
-
-        if self._cache is None:
-            return compute(packed_q)
-        return cached_radius(
-            self._cache, packed_q.bits, radius,
-            lambda misses: compute(
-                PackedCodes(bits=packed_q.bits[misses], n_bits=self.n_bits)
-            ),
-        )
+        distances = packed_hamming_distance(packed_q, packed_db)
+        return [self._ids[row <= radius] for row in distances]
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from math import comb
 import numpy as np
 
 from repro.errors import NotFittedError, ShapeError
-from repro.retrieval.backend import QueryResultCache, register_backend
+from repro.retrieval.backend import register_backend
 from repro.retrieval.hamming import _POPCOUNT, packed_distances_to_one
 from repro.utils.validation import check_binary_codes
 
@@ -170,12 +170,9 @@ class MultiIndexHammingIndex:
     n_tables:
         Number of substring tables ``m``.  Larger m = cheaper probes but
         more candidate verification; m ≈ k / log2(n) is the classic choice.
-    cache_size:
-        If positive, keep an LRU :class:`QueryResultCache` of per-query
-        results, cleared on every ``add``/``remove``.
     """
 
-    def __init__(self, n_bits: int, n_tables: int = 4, cache_size: int = 0) -> None:
+    def __init__(self, n_bits: int, n_tables: int = 4) -> None:
         if n_bits <= 0:
             raise ShapeError(f"n_bits must be positive: {n_bits}")
         if not 1 <= n_tables <= n_bits:
@@ -196,7 +193,6 @@ class MultiIndexHammingIndex:
         self._bits = np.empty((0, (n_bits + 7) // 8), dtype=np.uint8)
         self._alive = np.empty(0, dtype=bool)
         self._n_alive = 0
-        self._cache = QueryResultCache(cache_size) if cache_size else None
 
     # -- mutation ---------------------------------------------------------------
 
@@ -221,8 +217,6 @@ class MultiIndexHammingIndex:
                 [self._row_keys[ti], _bulk_keys(bools[:, start:end])]
             )
             self._csr[ti] = None
-        if self._cache is not None:
-            self._cache.clear()
         return self
 
     def remove(self, ids: np.ndarray) -> int:
@@ -238,8 +232,6 @@ class MultiIndexHammingIndex:
             self._alive[targets] = False
             self._n_alive -= int(targets.size)
             self._csr = [None] * self.n_tables
-            if self._cache is not None:
-                self._cache.clear()
         return int(targets.size)
 
     def vacuum(self) -> "MultiIndexHammingIndex":
@@ -253,11 +245,6 @@ class MultiIndexHammingIndex:
 
     def __len__(self) -> int:
         return self._n_alive
-
-    @property
-    def cache(self) -> QueryResultCache | None:
-        """The query-result cache, or ``None`` when caching is off."""
-        return self._cache
 
     @property
     def bucket_counts(self) -> list[int]:
@@ -440,12 +427,6 @@ class MultiIndexHammingIndex:
         query_keys = self._query_keys(query_bools)
         results = []
         for qi in range(query_codes.shape[0]):
-            if self._cache is not None:
-                key = ("radius", radius, packed_q[qi].tobytes())
-                hit = self._cache.get(key)
-                if hit is not None:
-                    results.append(hit.copy())
-                    continue
             candidates = self._candidates_from_keys(
                 [keys[qi] for keys in query_keys], radius
             )
@@ -454,9 +435,6 @@ class MultiIndexHammingIndex:
                 hits = candidates[distances <= radius]
             else:
                 hits = candidates
-            if self._cache is not None:
-                self._cache.put(("radius", radius, packed_q[qi].tobytes()), hits)
-                hits = hits.copy()
             results.append(hits)
         return results
 
@@ -487,11 +465,6 @@ class MultiIndexHammingIndex:
         query_keys = self._query_keys(query_bools)
         m = self.n_tables
         for qi in range(n_queries):
-            if self._cache is not None:
-                hit = self._cache.get(("top_k", top_k, packed_q[qi].tobytes()))
-                if hit is not None:
-                    out_idx[qi], out_dist[qi] = hit
-                    continue
             seen = np.zeros(self._alive.size, dtype=bool)
             candidates = _EMPTY_IDS
             distances = np.empty(0, dtype=np.uint16)
@@ -524,9 +497,4 @@ class MultiIndexHammingIndex:
             order = np.lexsort((candidates, distances))[:top_k]
             out_idx[qi] = candidates[order]
             out_dist[qi] = distances[order]
-            if self._cache is not None:
-                self._cache.put(
-                    ("top_k", top_k, packed_q[qi].tobytes()),
-                    (out_idx[qi].copy(), out_dist[qi].copy()),
-                )
         return out_idx, out_dist

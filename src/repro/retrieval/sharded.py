@@ -26,11 +26,11 @@ consecutive failures the circuit opens and the shard is skipped without
 paying its failure latency until ``breaker_reset_s`` passes, when one
 half-open probe is let through; a probe success closes the circuit and
 :attr:`ShardedIndex.degraded` clears.  Only when *no* shard can answer
-does the query raise :class:`~repro.errors.ShardUnavailableError`.
-Degraded results never enter the facade's query cache.  Each shard call
-first consults the index's :class:`~repro.utils.faults.FaultInjector` at
-the ``shard.search`` point (with ``shard=<i>`` context), which is how the
-fault-scale bench kills one shard deterministically.
+does the query raise :class:`~repro.errors.ShardUnavailableError`.  Each
+shard call first consults the index's
+:class:`~repro.utils.faults.FaultInjector` at the ``shard.search`` point
+(with ``shard=<i>`` context), which is how the fault-scale bench kills one
+shard deterministically.
 
 **Concurrent fan-out** (PR 8): with ``workers > 1`` the surviving shard
 probes of a fan-out run on a shared :class:`~repro.utils.parallel.WorkerPool`
@@ -60,10 +60,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.retrieval.backend import (
-    QueryResultCache,
     RetrievalBackend,
-    cached_radius,
-    cached_topk,
     make_backend,
     register_backend,
 )
@@ -91,9 +88,6 @@ class ShardedIndex:
     shard_backend:
         Registered backend name used for every shard (``"bruteforce"``,
         ``"multi-index"``, ... — anything except ``"sharded"`` itself).
-    cache_size:
-        If positive, keep an LRU :class:`QueryResultCache` of merged
-        per-query results at the facade level, cleared on every mutation.
     shard_options:
         Extra keyword arguments forwarded to every shard's constructor
         (e.g. ``{"n_tables": 4}`` for multi-index shards).
@@ -115,7 +109,6 @@ class ShardedIndex:
         n_bits: int,
         n_shards: int = 4,
         shard_backend: str = "bruteforce",
-        cache_size: int = 0,
         shard_options: dict | None = None,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,
@@ -139,7 +132,6 @@ class ShardedIndex:
         self.last_query_degraded = False
         self._next_id = 0
         self._n_alive = 0
-        self._cache = QueryResultCache(cache_size) if cache_size else None
         self._pool = WorkerPool(workers, name="shard")
 
     def _init_shard_state(
@@ -188,8 +180,6 @@ class ShardedIndex:
             )
         self._next_id += codes.shape[0]
         self._n_alive += codes.shape[0]
-        if self._cache is not None:
-            self._cache.clear()
         return self
 
     def remove(self, ids: np.ndarray) -> int:
@@ -206,19 +196,12 @@ class ShardedIndex:
             # always lands; the child ignores already-removed locals.
             removed += self._shards[si].remove(local)
         self._n_alive -= removed
-        if removed and self._cache is not None:
-            self._cache.clear()
         return removed
 
     # -- introspection ----------------------------------------------------------
 
     def __len__(self) -> int:
         return self._n_alive
-
-    @property
-    def cache(self) -> QueryResultCache | None:
-        """The merged-result cache, or ``None`` when caching is off."""
-        return self._cache
 
     @property
     def shard_sizes(self) -> tuple[int, ...]:
@@ -387,17 +370,7 @@ class ShardedIndex:
             )
         query_codes = self._check_codes(query_codes, "query_codes")
         self.last_query_degraded = False
-        if self._cache is None or self.degraded:
-            # While any circuit is open the cache is bypassed entirely so
-            # partial answers are never stored or served as full ones.
-            return self._fan_out_topk(query_codes, top_k)
-        out = cached_topk(
-            self._cache, np.packbits(query_codes > 0, axis=1), top_k,
-            lambda misses: self._fan_out_topk(query_codes[misses], top_k),
-        )
-        if self.last_query_degraded:
-            self._cache.clear()  # a shard failed mid-fill; drop partials
-        return out
+        return self._fan_out_topk(query_codes, top_k)
 
     def _fan_out_radius(
         self, query_codes: np.ndarray, radius: int
@@ -439,12 +412,4 @@ class ShardedIndex:
             )
         query_codes = self._check_codes(query_codes, "query_codes")
         self.last_query_degraded = False
-        if self._cache is None or self.degraded:
-            return self._fan_out_radius(query_codes, radius)
-        out = cached_radius(
-            self._cache, np.packbits(query_codes > 0, axis=1), radius,
-            lambda misses: self._fan_out_radius(query_codes[misses], radius),
-        )
-        if self.last_query_degraded:
-            self._cache.clear()
-        return out
+        return self._fan_out_radius(query_codes, radius)

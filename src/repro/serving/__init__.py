@@ -20,11 +20,11 @@ This package turns the reproduction's pieces into a deployable service:
   the shared batcher so independent clients coalesce into micro-batched
   encodes.
 
-CLI entry points: ``python -m repro.cli serve`` (one-shot or REPL),
-``python -m repro.cli serve-http`` (network daemon), and
-``python -m repro.cli bench-serve``; the gated scale smokes are
-``benchmarks/bench_serving_scale.py`` and
-``benchmarks/bench_http_scale.py``.
+CLI entry points: ``python -m repro.cli serve`` (one-shot or REPL) and
+``python -m repro.cli serve-http`` (network daemon); the gated scale
+smokes are ``benchmarks/bench_serving_scale.py`` and
+``benchmarks/bench_http_scale.py`` (run with ``pytest -s`` to see their
+timing tables).
 """
 
 from repro.retrieval.sharded import ShardedIndex

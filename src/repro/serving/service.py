@@ -141,7 +141,7 @@ class HashingService:
     backend / backend_options:
         Registered index backend name plus its constructor options.  The
         default is a ``"sharded"`` index; ``n_shards`` / ``shard_backend``
-        / ``cache_size`` are conveniences folded into the options.
+        are conveniences folded into the options.
     max_batch / max_delay_s / clock:
         :class:`EncodeBatcher` triggers.
     model_key:
@@ -175,7 +175,6 @@ class HashingService:
         backend: str = "sharded",
         n_shards: int = 4,
         shard_backend: str = "bruteforce",
-        cache_size: int = 0,
         backend_options: dict | None = None,
         max_batch: int = 256,
         max_delay_s: float = 0.002,
@@ -214,8 +213,6 @@ class HashingService:
             options.setdefault("faults", faults)
             options.setdefault("clock", clock)
             options.setdefault("workers", workers)
-        if cache_size:
-            options.setdefault("cache_size", cache_size)
         self.index = make_backend(backend, self.n_bits, **options)
         self.batcher = EncodeBatcher(
             encoder, max_batch=max_batch, max_delay_s=max_delay_s,
@@ -593,7 +590,7 @@ class HashingService:
         return report
 
     def stats(self) -> dict:
-        """Serving counters: shard sizes, batcher histogram, cache rates,
+        """Serving counters: shard sizes, batcher histogram, database loads,
         and per-stage (encode/search/total) query latency percentiles."""
         out: dict = {
             "backend": self.backend_name,
@@ -616,26 +613,10 @@ class HashingService:
                 "warm_loads": self._warm_loads,
                 "snapshot_mmapped": self._snapshot_mmap,
             },
-            "caches": {},
         }
         pool_stats = getattr(self.index, "pool_stats", None)
         if pool_stats is not None:
             out["pool"] = pool_stats()
-        cache = getattr(self.index, "cache", None)
-        if cache is not None:
-            out["caches"]["index"] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hit_rate,
-            }
-        for si, shard in enumerate(getattr(self.index, "shards", ())):
-            shard_cache = getattr(shard, "cache", None)
-            if shard_cache is not None:
-                out["caches"][f"shard{si}"] = {
-                    "hits": shard_cache.hits,
-                    "misses": shard_cache.misses,
-                    "hit_rate": shard_cache.hit_rate,
-                }
         if self.store is not None:
             stages = self.store.stats()["stages"]
             out["store_stages"] = {

@@ -1,5 +1,5 @@
-"""Tests for the retrieval serving layer: backend protocol, registry,
-incremental add/remove semantics, and the query-result LRU cache."""
+"""Tests for the retrieval serving layer: backend protocol, registry, and
+incremental add/remove semantics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.retrieval import (
     HammingIndex,
     MultiIndexHammingIndex,
-    QueryResultCache,
     RetrievalBackend,
     backend_names,
     evaluate_codes,
@@ -47,9 +46,8 @@ class TestRegistry:
             make_backend("faiss", 16)
 
     def test_kwargs_pass_through(self):
-        index = make_backend("multi-index", 16, n_tables=2, cache_size=8)
+        index = make_backend("multi-index", 16, n_tables=2)
         assert index.n_tables == 2
-        assert index.cache is not None
 
     def test_sharded_registered(self):
         from repro.serving import ShardedIndex
@@ -70,7 +68,10 @@ class TestRegistry:
         message = str(excinfo.value)
         assert name in message
         assert "bogus_option" in message
-        assert "cache_size" in message  # every backend accepts it
+        accepted = message.split("accepted options: ")[1]
+        expected = {"bruteforce": "(none)", "multi-index": "n_tables",
+                    "sharded": "n_shards"}[name]
+        assert expected in accepted
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_satisfies_protocol(self, name):
@@ -216,60 +217,6 @@ class TestBackendsAgreeUnderChurn:
             for rb, rm in zip(brute.radius_search(queries, radius),
                               mih.radius_search(queries, radius)):
                 np.testing.assert_array_equal(np.sort(rb), rm)
-
-
-class TestQueryResultCache:
-    def test_lru_eviction(self):
-        cache = QueryResultCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ConfigurationError):
-            QueryResultCache(0)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_cached_results_match_uncached(self, name):
-        db = random_codes(60, 16, seed=11)
-        queries = random_codes(5, 16, seed=12)
-        plain = make_backend(name, 16).add(db)
-        cached = make_backend(name, 16, cache_size=32).add(db)
-        for _ in range(2):  # second pass served from cache
-            p = plain.search(queries, top_k=6)
-            c = cached.search(queries, top_k=6)
-            np.testing.assert_array_equal(p[0], c[0])
-            np.testing.assert_array_equal(p[1], c[1])
-            for rp, rc in zip(plain.radius_search(queries, 5),
-                              cached.radius_search(queries, 5)):
-                np.testing.assert_array_equal(rp, rc)
-        assert cached.cache.hits > 0
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_cache_invalidated_on_mutation(self, name):
-        db = random_codes(30, 8, seed=13)
-        index = make_backend(name, 8, cache_size=16).add(db)
-        query = random_codes(1, 8, seed=14)
-        index.search(query, top_k=3)
-        assert len(index.cache) > 0
-        index.add(random_codes(5, 8, seed=15))
-        assert len(index.cache) == 0
-        index.search(query, top_k=3)
-        index.remove([0])
-        assert len(index.cache) == 0
-
-    def test_cache_returns_copies(self):
-        db = random_codes(20, 8, seed=16)
-        index = make_backend("bruteforce", 8, cache_size=8).add(db)
-        query = random_codes(1, 8, seed=17)
-        hits = index.radius_search(query, 8)[0]
-        hits[:] = -1  # caller mutates their copy
-        fresh = index.radius_search(query, 8)[0]
-        assert (fresh >= 0).all()
 
 
 class TestEvaluateCodesBackend:

@@ -232,6 +232,27 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["table1", "--scale", "0.01", "--bits", "16"])
         assert args.scale == 0.01 and args.bits == [16]
+        sub = next(a for a in parser._actions if a.dest == "command")
+        assert sorted(sub.choices) == sorted([
+            "train", "eval", "serve", "serve-http", "table1", "table2",
+            "cache", "export",
+        ])
+
+    def test_serve_one_shot(self, capsys):
+        code = main([
+            "serve", "--scale", "0.008", "--bits", "16", "--epochs", "1",
+            "--shards", "2", "--queries", "2",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "trained fresh UHSCM (16 bits)" in out
+        assert "in 2 shard(s)" in out
+        assert out.count("hit(id@dist)") == 2
+
+    @pytest.mark.parametrize("command", ["serve", "serve-http"])
+    def test_publish_needs_cache_dir(self, command, capsys):
+        assert main([command, "--publish"]) == 1
+        assert "--publish requires --cache-dir" in capsys.readouterr().out
 
     def test_export_command(self, tmp_path, capsys):
         results = tmp_path / "results"

@@ -228,7 +228,7 @@ class TestHashingService:
 
     def test_stats_shape(self):
         rng = np.random.default_rng(7)
-        service = self.make_service(cache_size=8)
+        service = self.make_service()
         service.load_database(rng.normal(size=(12, 8)))
         service.query(rng.normal(size=(2, 8)), top_k=2)
         service.query(rng.normal(size=(2, 8)), top_k=2)
@@ -237,8 +237,6 @@ class TestHashingService:
         assert stats["size"] == 12
         assert len(stats["shards"]) == 3
         assert stats["batcher"]["requests"] == 4
-        assert "index" in stats["caches"]
-        assert 0.0 <= stats["caches"]["index"]["hit_rate"] <= 1.0
         assert "store_stages" not in stats
 
     def test_store_snapshot_warm_restart(self, tmp_path):
