@@ -16,13 +16,12 @@ Acceptance gates for the PR 10 async front end:
 4. **Wall-clock** (gated only on machines with >= 4 cores, like the CI
    runners): 8 concurrent HTTP clients must push >=
    ``REQUIRED_SPEEDUP`` (3x) the throughput of one serial HTTP client
-   over the same request set — concurrency is what lets independent
-   connections coalesce in the shared micro-batcher — and the
+   over the same request set — concurrency is what lets rows that
+   queue behind a running encode forward share the next one — and the
    concurrent run's server-side query p99 must stay under
-   ``P99_BOUND_S``.  The serial baseline runs its own server with a
-   zero coalescing window (its auto-flush degenerates to an immediate
-   flush), so it never pays a batching delay the concurrent server
-   chose for itself.
+   ``P99_BOUND_S``.  Neither run pays a batching delay: the batcher
+   forwards as soon as no forward is running, so a lone serial client
+   gets one forward per request.
 
 The combined report lands in ``results/BENCH_http.txt`` with a
 machine-readable mirror in ``results/BENCH_http.json``.
@@ -78,10 +77,9 @@ def _network(rng: int = SEED) -> HashingNetwork:
                           feature_dim=DIM, rng=rng)
 
 
-def _service(db: np.ndarray, *, rng: int = SEED,
-             max_delay_s: float = 0.002) -> HashingService:
+def _service(db: np.ndarray, *, rng: int = SEED) -> HashingService:
     service = HashingService(_network(rng), backend="sharded", n_shards=4,
-                             max_batch=64, max_delay_s=max_delay_s)
+                             max_batch=64)
     service.add(db)
     return service
 
@@ -160,8 +158,8 @@ def test_bench_http_scale(results_dir):
               for i in range(N_QUERIES)]
     oracle_service.close()
 
-    # -- serial baseline: one client, zero coalescing window ----------------
-    serial_service = _service(db, max_delay_s=0.0)
+    # -- serial baseline: one client, one forward per request ---------------
+    serial_service = _service(db)
     serial_handle = run_server_in_thread(
         ServingApp(serial_service, max_inflight=N_CLIENTS * 2),
         concurrency=N_CLIENTS,
@@ -173,7 +171,7 @@ def test_bench_http_scale(results_dir):
         serial_handle.stop()
     assert all(status == 200 for status, _ in serial_rows)
 
-    # -- concurrent run: N clients share the 2 ms batching window -----------
+    # -- concurrent run: N clients share forwards when rows queue ----------
     concurrent_service = _service(db)
     concurrent_app = ServingApp(concurrent_service,
                                 max_inflight=N_CLIENTS * 2)
@@ -207,7 +205,7 @@ def test_bench_http_scale(results_dir):
     serial_qps = N_QUERIES / t_serial
     concurrent_qps = N_QUERIES / t_concurrent
     lines.append(f"serial     : {t_serial * 1e3:8.1f} ms "
-                 f"({serial_qps:8.0f} q/s, 1 client, no batch window)")
+                 f"({serial_qps:8.0f} q/s, 1 client)")
     lines.append(f"concurrent : {t_concurrent * 1e3:8.1f} ms "
                  f"({concurrent_qps:8.0f} q/s, {N_CLIENTS} clients)   "
                  f"speedup {speedup:.2f}x")
@@ -232,8 +230,7 @@ def test_bench_http_scale(results_dir):
         return network.encode(matrix)
 
     shed_service = HashingService(gated_encode, n_bits=BITS,
-                                  backend="bruteforce", max_batch=64,
-                                  max_delay_s=0.0)
+                                  backend="bruteforce", max_batch=64)
     release.set()
     shed_service.add(db[:64])
     release.clear()

@@ -54,7 +54,7 @@ exits; ``--repl`` reads ``q <i> [k]`` / ``remove <id...>`` / ``stats`` /
 ``serve-http`` runs the same facade as a network daemon: an asyncio
 HTTP/JSON front end (``POST /query /add /remove /swap``, ``GET /stats
 /health``) whose concurrent connections coalesce in the shared
-micro-batcher (``--batch`` rows / ``--max-delay-ms`` window), with
+micro-batcher (up to ``--batch`` rows per encode forward), with
 bounded admission (``--max-inflight``, shed as HTTP 429), per-endpoint
 latency percentiles in ``/stats``, zero-drop model hot swap via
 ``POST /swap`` (needs ``--cache-dir``; target is a published
@@ -182,7 +182,7 @@ def _add_serving(parser: argparse.ArgumentParser) -> None:
                         help="backend each shard runs "
                              "(bruteforce, multi-index)")
     parser.add_argument("--batch", type=int, default=256,
-                        help="encode micro-batch (flush) size")
+                        help="most rows per encode forward")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -359,7 +359,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         service = HashingService(
             encoder, store=store, n_shards=args.shards,
             shard_backend=args.shard_backend, max_batch=args.batch,
-            max_delay_s=args.max_delay_ms / 1e3, workers=args.workers,
+            workers=args.workers,
         )
         service.load_database(
             data.database_images, key=db_key,
@@ -382,7 +382,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     print(f"serving on http://{args.host}:{handle.port}  "
           f"(concurrency={args.concurrency} "
           f"max_inflight={args.max_inflight} "
-          f"batch={args.batch}@{args.max_delay_ms:g}ms)")
+          f"batch={args.batch})")
     print("endpoints: POST /query /add /remove /swap   GET /stats /health")
 
     stop = threading.Event()
@@ -528,10 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the hashing index over HTTP/JSON (asyncio daemon)",
     )
     _add_serving(p_http)
-    p_http.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="micro-batcher coalescing window: concurrent "
-                             "requests arriving within it share one encode "
-                             "flush (0 = flush immediately)")
     p_http.add_argument("--host", default="127.0.0.1")
     p_http.add_argument("--port", type=int, default=8035,
                         help="bind port (0 = pick a free one)")

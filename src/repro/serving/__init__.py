@@ -6,8 +6,9 @@ This package turns the reproduction's pieces into a deployable service:
   retrieval backend (it lives in :mod:`repro.retrieval` so the backend
   registry never imports upward; re-exported here): rows hash-partitioned
   across N child backends, merged top-k bit-identical to a single index.
-- :class:`~repro.serving.batcher.EncodeBatcher` — size/deadline
-  micro-batching of single-query encodes into one network forward.
+- :class:`~repro.serving.batcher.EncodeBatcher` — idle-flush
+  micro-batching: rows that queue while a network forward runs share
+  the next one.
 - :class:`~repro.serving.service.HashingService` — the facade: load a
   model snapshot by fingerprint from the
   :class:`~repro.pipeline.ArtifactStore` (or a persistence archive), build
@@ -17,8 +18,8 @@ This package turns the reproduction's pieces into a deployable service:
 - :mod:`~repro.serving.http` — the asyncio HTTP/JSON front end
   (:class:`~repro.serving.http.ServingApp` +
   :class:`~repro.serving.http.HttpServer`): concurrent connections feed
-  the shared batcher so independent clients coalesce into micro-batched
-  encodes.
+  the shared batcher, so clients that arrive during a forward share the
+  next one.
 
 CLI entry points: ``python -m repro.cli serve`` (one-shot or REPL) and
 ``python -m repro.cli serve-http`` (network daemon); the gated scale

@@ -1,14 +1,15 @@
-"""Micro-batching queue for single-query encode requests.
+"""Micro-batching queue for online encode requests.
 
-Online serving receives queries one at a time, but the hashing network is
-dramatically cheaper per row when it runs one forward over many rows (PR 2's
-vectorized engine).  :class:`EncodeBatcher` bridges the two: ``submit()``
-enqueues one vector and returns an :class:`EncodeTicket`; the queue flushes
-into a single network forward when it reaches ``max_batch`` rows (size
-trigger) or when the oldest pending request has waited ``max_delay_s``
-seconds (deadline trigger, checked on every submit/poll).  Resolving a
-ticket whose batch has not flushed yet forces the flush, so callers can
-never deadlock on their own result.
+Online serving receives queries a few rows at a time, but the hashing
+network is much cheaper per row when it runs one forward over many rows
+(PR 2's vectorized engine).  :class:`EncodeBatcher` bridges the two with
+**idle flushing**: ``submit_many()`` enqueues a request's rows under one
+lock hold and returns one :class:`EncodeTicket` per row; a caller waiting
+on a ticket runs the next forward itself whenever none is running, taking
+the queue in FIFO order up to ``max_batch`` rows.  Rows that arrive while
+a forward runs wait in the queue and ride the next one.  At low load a
+request pays one forward; under load the batch grows by itself.  There is
+no timer, no clock and no flusher thread.
 
 The batcher follows the encoder's dtype policy: pending rows are stacked
 directly in the network's training dtype (``float32`` engines never pay a
@@ -17,37 +18,30 @@ float64 round trip on the hot path).
 Failure isolation (PR 7): a batch forward that raises must not take every
 co-batched caller down with it, and above all must never leave a ticket
 permanently unresolved.  When the batched forward fails, the flush re-runs
-each pending row as its own one-row forward: rows that succeed resolve
-normally, rows that keep failing resolve to a **typed error** (a
+each row as its own one-row forward: rows that succeed resolve normally,
+rows that keep failing resolve to a **typed error** (a
 :class:`~repro.errors.ReproError`; foreign exceptions are wrapped in
 :class:`~repro.errors.TransientError`) which :meth:`EncodeTicket.result`
 raises to exactly that caller.  The forward consults the batcher's
 :class:`~repro.utils.faults.FaultInjector` at the ``encode.forward`` point.
 
-Concurrency (PR 10): the batcher is **thread-safe** — the async HTTP front
-end drives it from concurrent request handlers, which is the load pattern
-the size/deadline triggers were designed for.  The queue/ticket path is
-lock-guarded: ``submit``/``poll``/``flush`` detach the pending batch
-atomically, then run the network forward *outside* the lock so the next
-batch accumulates while the current one encodes.  Tickets resolve through
-a :class:`threading.Event`; ``result(wait=True)`` parks the caller until a
-size trigger fires or the batch deadline expires (whichever thread wakes
-first claims the deadline flush), so co-arriving callers genuinely
-coalesce instead of each forcing a size-1 flush.  The default
-``result()`` keeps the synchronous contract: force the flush, never wait.
+Concurrency: the batcher is **thread-safe**, and at most one forward runs
+at a time, outside the lock.  Queue, tickets and counters live under one
+:class:`threading.Condition`; the caller that finishes a forward resolves
+its tickets under that lock and wakes every waiter, one of which claims
+the next batch.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.errors import (
     ConfigurationError,
+    OverloadedError,
     ReproError,
     ShapeError,
     TransientError,
@@ -56,67 +50,39 @@ from repro.utils.faults import NULL_INJECTOR, FaultInjector
 
 
 class EncodeTicket:
-    """Handle to one submitted query; resolves when its batch flushes.
+    """Handle to one submitted row; resolves when its batch is forwarded.
 
     A ticket resolves to either a code row or a typed error — never to
-    nothing: ``result()`` forces the owning batcher to flush (or, with
-    ``wait=True``, parks until a size/deadline trigger fires), so a caller
-    can never hang on its own request.
+    nothing: ``result()`` runs forwards until this row's has run, so a
+    caller can never hang on its own request.
     """
 
-    __slots__ = ("_batcher", "_code", "_error", "_event")
+    __slots__ = ("_batcher", "_code", "_error", "_done")
 
     def __init__(self, batcher: "EncodeBatcher") -> None:
         self._batcher = batcher
         self._code: np.ndarray | None = None
         self._error: BaseException | None = None
-        self._event = threading.Event()
+        self._done = False
 
     @property
     def ready(self) -> bool:
-        """Whether the batch holding this request has already flushed."""
-        return self._event.is_set()
+        """Whether the batch holding this row has already been forwarded."""
+        return self._done
 
     @property
     def failed(self) -> bool:
-        """Whether this request resolved to an error."""
-        return self._event.is_set() and self._error is not None
+        """Whether this row resolved to an error."""
+        return self._done and self._error is not None
 
-    def _resolve(
-        self,
-        code: np.ndarray | None = None,
-        error: BaseException | None = None,
-    ) -> None:
-        self._code = code
-        self._error = error
-        self._event.set()
+    def result(self) -> np.ndarray:
+        """The ±1 code row, running forwards until this row's has run.
 
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the ticket resolves; True when it did in time."""
-        return self._event.wait(timeout)
-
-    def result(self, wait: bool = False) -> np.ndarray:
-        """The ±1 code row, flushing the owning batcher if still pending.
-
-        ``wait=False`` (the default, and the synchronous contract every
-        pre-HTTP caller relies on) forces an immediate flush.
-        ``wait=True`` is the concurrent-caller mode: park until the batch
-        flushes on its size trigger or its deadline expires — the
-        coalescing window the micro-batcher exists for.
-
-        Raises the typed error this request resolved to, if its encode
-        failed — only this caller sees it; co-batched requests that
-        encoded fine resolve normally.
+        Raises the typed error this row resolved to, if its encode
+        failed — only this caller sees it; co-batched rows that encoded
+        fine resolve normally.
         """
-        if not self._event.is_set():
-            if wait:
-                self._batcher._await(self)
-            else:
-                self._batcher.flush()
-                # Our row may be riding a batch another thread detached
-                # whose forward is still running; it resolves every
-                # ticket, so this wait is bounded by that forward.
-                self._event.wait()
+        self._batcher._run_until(self)
         if self._error is not None:
             raise self._error
         assert self._code is not None
@@ -124,7 +90,7 @@ class EncodeTicket:
 
 
 class EncodeBatcher:
-    """Coalesce single-vector encode requests into batched forwards.
+    """Coalesce concurrent encode requests into batched forwards.
 
     Parameters
     ----------
@@ -133,49 +99,36 @@ class EncodeBatcher:
         :class:`~repro.core.hashing_network.HashingNetwork`, a fitted
         UHSCM, any baseline) or a bare callable with that signature.
     max_batch:
-        Size trigger: flush as soon as this many requests are pending.
-    max_delay_s:
-        Deadline trigger: flush when the oldest pending request has waited
-        this long (checked on every ``submit``/``poll``, and awaited by
-        ``result(wait=True)`` callers).
-    clock:
-        Monotonic time source, injectable for deterministic tests.
+        Most rows one forward takes from the queue.
+    max_pending:
+        Bound on queued rows: a ``submit_many`` that would push the queue
+        past it raises :class:`~repro.errors.OverloadedError` and enqueues
+        nothing.  ``None`` (default) leaves the queue unbounded.
     faults:
         :class:`~repro.utils.faults.FaultInjector` consulted at the
         ``encode.forward`` point before every network forward.
     """
 
-    #: Fallback wait quantum for tickets parked behind an in-flight
-    #: forward (or a stalled injected clock): re-check this often.
-    WAIT_QUANTUM_S = 0.05
-
     def __init__(
         self,
         encoder,
         max_batch: int = 256,
-        max_delay_s: float = 0.002,
-        clock: Callable[[], float] = time.monotonic,
+        max_pending: int | None = None,
         faults: FaultInjector = NULL_INJECTOR,
     ) -> None:
         if max_batch <= 0:
             raise ConfigurationError(f"max_batch must be positive: {max_batch}")
-        if max_delay_s < 0:
-            raise ConfigurationError(
-                f"max_delay_s must be >= 0: {max_delay_s}"
-            )
         self._encode = encoder.encode if hasattr(encoder, "encode") else encoder
         #: Stack pending rows straight into the engine's training dtype.
         self._dtype = np.dtype(getattr(encoder, "dtype", np.float64))
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
-        self._clock = clock
+        self.max_pending = max_pending
         self.faults = faults
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._pending: list[tuple[np.ndarray, EncodeTicket]] = []
-        self._oldest: float | None = None
+        self._running = False
         self.requests = 0
         self.flushes = 0
-        self.deadline_flushes = 0
         self.flush_failures = 0
         self.isolation_flushes = 0
         self.poisoned = 0
@@ -184,83 +137,91 @@ class EncodeBatcher:
     # -- queue ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
+        with self._cond:
             return len(self._pending)
 
-    def submit(self, vector: np.ndarray) -> EncodeTicket:
-        """Enqueue one query vector; may trigger a size or deadline flush."""
-        vector = np.asarray(vector, dtype=self._dtype)
-        if vector.ndim == 0:
-            raise ShapeError("submit takes one query item, got a scalar")
-        self.poll()  # deadline may have passed since the last activity
-        with self._lock:
-            if self._pending and vector.shape != self._pending[0][0].shape:
-                # Reject shape mismatches at submit time: one bad request
-                # must not poison the whole batch for every other pending
-                # caller.
+    def submit_many(self, items: np.ndarray) -> list[EncodeTicket]:
+        """Enqueue a request's rows (first axis = items) under one lock hold.
+
+        Returns one ticket per row.  The whole request is rejected up
+        front — nothing enqueued — when its item shape does not match the
+        pending rows' (one bad request must not poison every other
+        caller's batch) or when it would exceed ``max_pending``.
+        """
+        items = np.asarray(items, dtype=self._dtype)
+        if items.ndim < 2:
+            raise ShapeError(
+                f"submit_many takes a batch of query items (first axis = "
+                f"items), got shape {items.shape}"
+            )
+        with self._cond:
+            if self._pending and items.shape[1:] != self._pending[0][0].shape:
                 raise ShapeError(
-                    f"query item shape {vector.shape} does not match the "
+                    f"query item shape {items.shape[1:]} does not match the "
                     f"pending batch's {self._pending[0][0].shape}"
                 )
-            ticket = EncodeTicket(self)
+            if (self.max_pending is not None
+                    and len(self._pending) + len(items) > self.max_pending):
+                raise OverloadedError(
+                    f"query of {len(items)} row(s) would exceed the pending "
+                    f"bound ({len(self._pending)} pending, "
+                    f"max_pending={self.max_pending})"
+                )
+            tickets = [EncodeTicket(self) for _ in range(len(items))]
+            self._pending.extend(zip(items, tickets))
+            self.requests += len(items)
+        return tickets
+
+    def flush(self) -> int:
+        """Forward every row queued so far; returns how many there were.
+
+        Returns once each of those rows has resolved (rows are forwarded
+        in FIFO order, so that is when the last one has).
+        """
+        with self._cond:
             if not self._pending:
-                self._oldest = self._clock()
-            self._pending.append((vector, ticket))
-            self.requests += 1
-            size_due = len(self._pending) >= self.max_batch
-        if size_due:
-            self.flush()
-        return ticket
+                return 0
+            queued, last = len(self._pending), self._pending[-1][1]
+        self._run_until(last)
+        return queued
 
-    def _deadline_due_locked(self) -> bool:
-        return (bool(self._pending) and self._oldest is not None
-                and self._clock() - self._oldest >= self.max_delay_s)
+    def _run_until(self, ticket: EncodeTicket) -> None:
+        """Run forwards, one at a time, until ``ticket`` resolves.
 
-    def _detach_locked(self) -> list[tuple[np.ndarray, EncodeTicket]]:
-        pending, self._pending = self._pending, []
-        self._oldest = None
-        return pending
-
-    def poll(self) -> bool:
-        """Flush if the oldest pending request has exceeded the deadline.
-
-        The deadline claim and the batch detach are one atomic step, so
-        concurrent pollers (parked ``result(wait=True)`` callers waking
-        together) count exactly one deadline flush per expired batch.
+        While another caller's forward runs, wait for it; otherwise claim
+        the head of the queue and forward it outside the lock.  A ticket
+        that is neither resolved nor in a running forward is still queued,
+        so the claim is never empty.
         """
-        with self._lock:
-            if not self._deadline_due_locked():
-                return False
-            self.deadline_flushes += 1
-            pending = self._detach_locked()
-        self._run_flush(pending)
-        return True
-
-    def _await(self, ticket: EncodeTicket) -> None:
-        """Park a ``result(wait=True)`` caller until its ticket resolves.
-
-        While the ticket still sits in the pending queue the caller
-        sleeps exactly until the batch deadline, then claims the deadline
-        flush itself (via :meth:`poll`) — no background flusher thread
-        exists or is needed.  A ticket already detached into an in-flight
-        forward re-checks on a short quantum until that forward resolves
-        it (every flush resolves every ticket, success or typed error).
-        """
-        while not ticket._event.is_set():
-            with self._lock:
-                if self._oldest is None:
-                    remaining = None  # detached: an in-flight forward owns it
-                else:
-                    remaining = self.max_delay_s - (self._clock() - self._oldest)
-            if remaining is None:
-                ticket._event.wait(self.WAIT_QUANTUM_S)
-            elif remaining <= 0:
-                self.poll()
-            else:
-                # A size-trigger flush resolves the event early; otherwise
-                # wake at the deadline (quantum-capped so an injected
-                # clock that never advances cannot park us forever).
-                ticket._event.wait(min(remaining, self.WAIT_QUANTUM_S))
+        while True:
+            with self._cond:
+                while self._running and not ticket._done:
+                    self._cond.wait()
+                if ticket._done:
+                    return
+                batch = self._pending[:self.max_batch]
+                del self._pending[:self.max_batch]
+                self._running = True
+            try:
+                outcomes, failed = self._encode_batch(batch)
+            except BaseException as exc:  # e.g. KeyboardInterrupt mid-forward
+                outcomes, failed = [(None, self._typed(exc))] * len(batch), True
+                raise
+            finally:
+                with self._cond:
+                    for (_, queued), (code, error) in zip(batch, outcomes):
+                        queued._code, queued._error = code, error
+                        queued._done = True
+                    self.flushes += 1
+                    self.flush_sizes[len(batch)] += 1
+                    if failed:
+                        self.flush_failures += 1
+                        self.poisoned += sum(
+                            error is not None for _, error in outcomes)
+                        if len(batch) > 1:
+                            self.isolation_flushes += 1
+                    self._running = False
+                    self._cond.notify_all()
 
     def _forward(self, matrix: np.ndarray) -> np.ndarray:
         """One guarded network forward (the ``encode.forward`` fault point)."""
@@ -276,79 +237,52 @@ class EncodeBatcher:
         typed.__cause__ = exc
         return typed
 
-    def flush(self) -> int:
-        """Encode every pending request in one forward; returns batch size.
+    def _encode_batch(self, batch) -> tuple[list, bool]:
+        """Forward one claimed batch: ``(code, error)`` per row, plus
+        whether the batched forward failed.
 
         A failing batched forward falls back to one-row forwards so a
-        poisoned request fails alone: healthy co-batched rows resolve
-        normally, each failing row's ticket resolves to a typed error that
-        ``result()`` raises to its caller.  Every pending ticket resolves
-        one way or the other — a flush can never strand a request.
+        poisoned row fails alone: healthy co-batched rows resolve
+        normally, each failing row resolves to a typed error.
         """
-        with self._lock:
-            if not self._pending:
-                return 0
-            pending = self._detach_locked()
-        return self._run_flush(pending)
-
-    def _run_flush(self, pending: list[tuple[np.ndarray, EncodeTicket]]) -> int:
-        """Forward one detached batch and resolve its tickets.
-
-        Runs outside the queue lock: concurrent submitters keep
-        accumulating the next batch while this one encodes.
-        """
-        batch = np.stack([vector for vector, _ in pending])
-        failed = False
         try:
-            codes = self._forward(batch)
-            if np.asarray(codes).shape[0] != len(pending):
+            codes = self._forward(np.stack([item for item, _ in batch]))
+            if np.asarray(codes).shape[0] != len(batch):
                 raise ShapeError(
                     f"encoder returned {np.asarray(codes).shape[0]} rows "
-                    f"for a {len(pending)}-row batch"
+                    f"for a {len(batch)}-row batch"
                 )
+            return [(code, None) for code in codes], False
         except Exception as exc:
-            failed = True
-            poisoned = 0
-            if len(pending) == 1:
-                pending[0][1]._resolve(error=self._typed(exc))
-                poisoned = 1
-            else:
-                # Isolate the poison: re-run each row on its own so one bad
-                # request cannot fail the whole cohort.
-                for vector, ticket in pending:
-                    try:
-                        ticket._resolve(code=self._forward(vector[None])[0])
-                    except Exception as row_exc:
-                        ticket._resolve(error=self._typed(row_exc))
-                        poisoned += 1
-        else:
-            for row, (_, ticket) in enumerate(pending):
-                ticket._resolve(code=codes[row])
-        with self._lock:
-            if failed:
-                self.flush_failures += 1
-                self.poisoned += poisoned
-                if len(pending) > 1:
-                    self.isolation_flushes += 1
-            self.flushes += 1
-            self.flush_sizes[len(pending)] += 1
-        return len(pending)
+            if len(batch) == 1:
+                return [(None, self._typed(exc))], True
+        return [self._encode_row(item) for item, _ in batch], True
+
+    def _encode_row(self, item: np.ndarray) -> tuple:
+        """One isolated one-row forward: ``(code, None)`` or ``(None, error)``."""
+        try:
+            return self._forward(item[None])[0], None
+        except Exception as exc:
+            return None, self._typed(exc)
 
     # -- reporting --------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Counters for ``HashingService.stats()`` / the serve CLI."""
-        with self._lock:
+        """Counters for ``HashingService.stats()`` / the serve CLI.
+
+        ``deadline_flushes`` is always 0: the batcher has no deadline, and
+        the key stays for readers of the older stats layout.
+        """
+        with self._cond:
             return {
                 "requests": self.requests,
                 "flushes": self.flushes,
-                "deadline_flushes": self.deadline_flushes,
+                "deadline_flushes": 0,
                 "flush_failures": self.flush_failures,
                 "isolation_flushes": self.isolation_flushes,
                 "poisoned": self.poisoned,
                 "pending": len(self._pending),
                 "max_batch": self.max_batch,
-                "max_delay_s": self.max_delay_s,
                 "flush_sizes": {
                     int(size): int(count)
                     for size, count in sorted(self.flush_sizes.items())

@@ -237,7 +237,7 @@ class ServingApp:
         with self._admitted() as state:
             ids, distances = state.service.query(
                 request.vectors, top_k=request.top_k,
-                deadline_s=request.deadline_s, flush="auto",
+                deadline_s=request.deadline_s,
             )
             degraded = state.service.last_query_degraded
         return schemas.query_response(ids, distances, degraded)

@@ -9,9 +9,9 @@ isolation into one request/response surface:
   :class:`~repro.pipeline.ArtifactStore` under a content fingerprint and
   :func:`load_model` restores it — by fingerprint from the store, falling
   back to a :mod:`repro.core.persistence` archive on disk.
-- **encoding** — single-query requests coalesce through an
-  :class:`~repro.serving.batcher.EncodeBatcher` into batched network
-  forwards.
+- **encoding** — concurrent requests coalesce through an
+  :class:`~repro.serving.batcher.EncodeBatcher`: rows that queue while a
+  network forward runs share the next one.
 - **index** — a registered retrieval backend (default ``"sharded"``),
   warm-loadable: the encoded database persists as a store artifact (packed
   code bits under the ``serve_index`` stage), so a restarted service
@@ -142,14 +142,21 @@ class HashingService:
         Registered index backend name plus its constructor options.  The
         default is a ``"sharded"`` index; ``n_shards`` / ``shard_backend``
         are conveniences folded into the options.
-    max_batch / max_delay_s / clock:
-        :class:`EncodeBatcher` triggers.
+    max_batch:
+        Most rows one :class:`EncodeBatcher` forward takes from its queue.
+    max_delay_s:
+        Ignored; the batcher has no deadline.  Still accepted so callers
+        written for the deadline batcher keep working.
+    clock:
+        Monotonic time source for the latency histograms, the sharded
+        backend's breakers and the ``deadline_s`` budget; injectable for
+        deterministic tests.
     model_key:
         Provenance fingerprint of the encoder used to address index
         snapshots; derived from the trained parameters when omitted.
     max_pending:
-        Bounded-queue load shedding: a ``query``/``add`` burst that would
-        push the batcher's pending queue past this many rows is rejected
+        Bounded-queue load shedding: a ``query`` that would push the
+        batcher's pending queue past this many rows is rejected
         up front with :class:`~repro.errors.OverloadedError` instead of
         being allowed to grow the queue without bound.  ``None`` (default)
         disables shedding.
@@ -177,7 +184,7 @@ class HashingService:
         shard_backend: str = "bruteforce",
         backend_options: dict | None = None,
         max_batch: int = 256,
-        max_delay_s: float = 0.002,
+        max_delay_s: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         model_key: str | None = None,
         n_bits: int | None = None,
@@ -202,7 +209,6 @@ class HashingService:
         self.backend_name = backend
         self.model_key = (model_key if model_key is not None
                           else _encoder_fingerprint(encoder, self.n_bits))
-        self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
         self.faults = faults
         self._clock = clock
@@ -215,8 +221,8 @@ class HashingService:
             options.setdefault("workers", workers)
         self.index = make_backend(backend, self.n_bits, **options)
         self.batcher = EncodeBatcher(
-            encoder, max_batch=max_batch, max_delay_s=max_delay_s,
-            clock=clock, faults=faults,
+            encoder, max_batch=max_batch, max_pending=max_pending,
+            faults=faults,
         )
         self._shed = 0
         self._deadline_exceeded = 0
@@ -423,24 +429,14 @@ class HashingService:
         vectors: np.ndarray,
         top_k: int = 10,
         deadline_s: float | None = None,
-        flush: str = "force",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Encode queries through the micro-batcher and search the index.
 
         ``vectors`` is one query item (1-D) or a batch (first axis = items);
-        every row rides the batcher, so a burst of requests coalesces into
-        ``ceil(n / max_batch)`` network forwards and one fan-out search.
+        all rows enter the batcher under one lock hold, so an isolated
+        n-row query takes ``ceil(n / max_batch)`` network forwards and one
+        fan-out search, and concurrent queries share forwards.
         Returns ``(external_ids, distances)``, both ``(n, top_k)``.
-
-        ``flush`` is the coalescing policy.  ``"force"`` (the default —
-        the CLI/REPL behavior since PR 4) flushes the batcher right after
-        submitting, so a sequential caller never waits on the batch
-        deadline.  ``"auto"`` leaves the flush to the batcher's own
-        size/deadline triggers and parks on the tickets instead — the mode
-        for genuinely concurrent callers (the HTTP front end), whose
-        co-arriving rows then coalesce into shared network forwards.
-        Results are bit-identical across policies; only the flush timing
-        differs.
 
         Fault surface: when the service is overloaded (``max_pending``)
         the whole request is shed up front with
@@ -454,31 +450,20 @@ class HashingService:
         A service that has been :meth:`close`\\ d refuses new queries with
         :class:`~repro.errors.ShutdownError`.
         """
-        if flush not in ("force", "auto"):
-            raise ConfigurationError(
-                f'flush policy must be "force" or "auto": {flush!r}'
-            )
         self._check_open()
         vectors = np.asarray(vectors)  # the batcher casts per dtype policy
         if vectors.ndim == 1:
             vectors = vectors[None, :]
         if vectors.shape[0] == 0:
             raise ShapeError("query needs at least one vector")
-        if (self.max_pending is not None
-                and len(self.batcher) + vectors.shape[0] > self.max_pending):
-            self._shed += vectors.shape[0]
-            raise OverloadedError(
-                f"query of {vectors.shape[0]} row(s) would exceed the "
-                f"pending bound ({len(self.batcher)} pending, "
-                f"max_pending={self.max_pending})"
-            )
         deadline = deadline_s if deadline_s is not None else self.default_deadline_s
         start = self._clock()
-        tickets = [self.batcher.submit(row) for row in vectors]
-        if flush == "force":
-            self.batcher.flush()  # resolve the tail below max_batch
-        codes = np.stack([ticket.result(wait=flush == "auto")
-                          for ticket in tickets])
+        try:
+            tickets = self.batcher.submit_many(vectors)
+        except OverloadedError:
+            self._shed += vectors.shape[0]
+            raise
+        codes = np.stack([ticket.result() for ticket in tickets])
         t_encoded = self._clock()
         self._latency["encode"].record(t_encoded - start)
         self._check_deadline(start, deadline, stage="encode")

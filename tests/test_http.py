@@ -9,6 +9,7 @@ concurrent handlers feed.
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -43,7 +44,6 @@ def identity_network(bits=BITS, dim=DIM, rng=0):
 def make_service(**kwargs):
     kwargs.setdefault("backend", "bruteforce")
     kwargs.setdefault("max_batch", 64)
-    kwargs.setdefault("max_delay_s", 0.005)
     service = HashingService(identity_network(), **kwargs)
     service.add(np.random.default_rng(7).standard_normal((40, DIM)))
     return service
@@ -224,8 +224,7 @@ class TestServingApp:
             return net.encode(matrix)
 
         service = HashingService(slow_encode, n_bits=BITS,
-                                 backend="bruteforce", max_batch=64,
-                                 max_delay_s=0.0)
+                                 backend="bruteforce", max_batch=64)
         release.set()  # let the database load through
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -331,7 +330,7 @@ class TestServingApp:
             return net.encode(matrix)
 
         old = HashingService(gate_encode, n_bits=BITS, backend="bruteforce",
-                             max_batch=64, max_delay_s=0.0)
+                             max_batch=64)
         release.set()
         db = np.random.default_rng(7).standard_normal((10, DIM))
         old.add(db)
@@ -445,41 +444,56 @@ class TestHttpServer:
             handle.stop()
 
     def test_concurrent_clients_coalesce_in_batcher(self):
-        service = make_service(max_batch=8, max_delay_s=0.05)
-        before = service.batcher.stats()["requests"]
-        app = ServingApp(service)
-        handle = run_server_in_thread(app, concurrency=8)
+        # Hold the first forward; the clients that arrive meanwhile queue
+        # and share the next forward.
+        release = threading.Event()
+        entered = threading.Event()
+        net = identity_network()
+
+        def gate_encode(matrix):
+            entered.set()
+            assert release.wait(10)
+            return net.encode(matrix)
+
+        db = np.random.default_rng(7).standard_normal((40, DIM))
+        service = HashingService(gate_encode, n_bits=BITS,
+                                 backend="bruteforce", max_batch=8)
+        release.set()
+        service.add(db)
+        release.clear()
+        entered.clear()
+        rows = np.random.default_rng(4).standard_normal((8, DIM))
+        oracle = make_service()
+        expected = [oracle.query(row, top_k=3) for row in rows]
+        handle = run_server_in_thread(ServingApp(service), concurrency=8)
+        bodies = [None] * 8
+
+        def client(i):
+            bodies[i] = post(handle.port, "/query",
+                             {"vector": rows[i].tolist(), "top_k": 3})
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(8)]
         try:
-            rng = np.random.default_rng(4)
-            rows = rng.standard_normal((8, DIM))
-            statuses = []
-            lock = threading.Lock()
-
-            def client(row):
-                status, _ = post(handle.port, "/query",
-                                 {"vector": row.tolist(), "top_k": 3})
-                with lock:
-                    statuses.append(status)
-
-            threads = [threading.Thread(target=client, args=(row,))
-                       for row in rows]
-            for thread in threads:
+            threads[0].start()
+            assert entered.wait(10)
+            for thread in threads[1:]:
                 thread.start()
+            deadline = time.monotonic() + 10
+            while len(service.batcher) < 7 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(service.batcher) == 7
+        finally:
+            release.set()
             for thread in threads:
                 thread.join(30)
-            assert statuses == [200] * 8
-            stats = service.batcher.stats()
-            sizes = {int(k): v for k, v in stats["flush_sizes"].items()}
-            handled = stats["requests"] - before
-            assert handled == 8
-            # Independent connections genuinely shared encode flushes:
-            # fewer flushes than requests means some batch held >1 row.
-            new_flushes = sum(
-                count for size, count in sizes.items()
-            )
-            assert max(sizes) > 1 or new_flushes < stats["requests"]
-        finally:
             handle.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        for (status, body), (ids, dist) in zip(bodies, expected):
+            assert status == 200
+            assert body["ids"] == ids.tolist()
+            assert body["distances"] == dist.tolist()
+        assert service.batcher.stats()["flush_sizes"] == {1: 1, 7: 1}
 
     def test_graceful_shutdown_completes_inflight(self):
         release = threading.Event()
@@ -493,7 +507,7 @@ class TestHttpServer:
 
         service = HashingService(gate_encode, n_bits=BITS,
                                  backend="sharded", n_shards=2, workers=2,
-                                 max_batch=64, max_delay_s=0.0)
+                                 max_batch=64)
         release.set()
         service.add(np.random.default_rng(7).standard_normal((10, DIM)))
         release.clear()
@@ -567,7 +581,14 @@ class TestBatcherThreadSafety:
 
     def test_stress_no_lost_duplicated_or_hung_tickets(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=16, max_delay_s=0.002)
+
+        def encode(matrix):
+            # A real forward releases the GIL for a while (BLAS); sleeping
+            # does too, so rows from other threads queue behind it.
+            time.sleep(0.0005)
+            return net.encode(matrix)
+
+        batcher = EncodeBatcher(encode, max_batch=16)
         n_threads, per_thread = 8, 40
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((n_threads, per_thread, DIM))
@@ -578,17 +599,22 @@ class TestBatcherThreadSafety:
         def client(t):
             try:
                 for i in range(per_thread):
-                    ticket = batcher.submit(rows[t, i])
-                    results[t, i] = ticket.result(wait=True)
+                    (ticket,) = batcher.submit_many(rows[t, i][None])
+                    results[t, i] = ticket.result()
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
         threads = [threading.Thread(target=client, args=(t,))
                    for t in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the clients finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
         assert not any(thread.is_alive() for thread in threads)  # no hangs
         # Every ticket resolved to exactly its own row's code: nothing
@@ -606,8 +632,8 @@ class TestBatcherThreadSafety:
         # Concurrency actually coalesced: some flush carried >1 row.
         assert max(stats["flush_sizes"]) > 1
 
-    def test_stress_through_service_auto_flush(self):
-        service = make_service(max_batch=8, max_delay_s=0.002)
+    def test_stress_through_service_concurrent_queries(self):
+        service = make_service(max_batch=8)
         baseline = service.batcher.stats()["requests"]
         rng = np.random.default_rng(12)
         rows = rng.standard_normal((6, DIM))
@@ -615,7 +641,7 @@ class TestBatcherThreadSafety:
         outcomes = [None] * 6
 
         def client(i):
-            outcomes[i] = service.query(rows[i], top_k=3, flush="auto")
+            outcomes[i] = service.query(rows[i], top_k=3)
 
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(6)]

@@ -542,21 +542,20 @@ class TestBatcherFaults:
     def test_no_ticket_left_unresolved_on_flush_failure(self):
         # Regression for the silent-hang bug class: a failing batched
         # forward must resolve EVERY pending ticket, one way or the other.
-        batcher = EncodeBatcher(PoisonEncoder(), max_batch=64,
-                                max_delay_s=100.0)
+        batcher = EncodeBatcher(PoisonEncoder(), max_batch=64)
         rows = np.ones((5, 8))
         rows[2, 0] = -1.0  # one poisoned row in the cohort
-        tickets = [batcher.submit(row) for row in rows]
+        tickets = batcher.submit_many(rows)
         batcher.flush()
         assert all(ticket.ready for ticket in tickets)
         assert len(batcher) == 0
 
     def test_poison_isolated_to_its_own_ticket(self):
         encoder = PoisonEncoder()
-        batcher = EncodeBatcher(encoder, max_batch=64, max_delay_s=100.0)
+        batcher = EncodeBatcher(encoder, max_batch=64)
         rows = np.ones((4, 8))
         rows[1, 0] = -1.0
-        tickets = [batcher.submit(row) for row in rows]
+        tickets = batcher.submit_many(rows)
         batcher.flush()
         assert tickets[1].failed
         with pytest.raises(TransientError) as err:
@@ -575,8 +574,8 @@ class TestBatcherFaults:
         def encode(matrix):
             raise ShardUnavailableError("typed already")
 
-        batcher = EncodeBatcher(encode, max_batch=4, max_delay_s=100.0)
-        ticket = batcher.submit(np.ones(8))
+        batcher = EncodeBatcher(encode, max_batch=4)
+        (ticket,) = batcher.submit_many(np.ones((1, 8)))
         batcher.flush()
         with pytest.raises(ShardUnavailableError):
             ticket.result()
@@ -585,20 +584,21 @@ class TestBatcherFaults:
         faults = FaultInjector().arm()
         faults.rule("encode.forward", nth=1)
         batcher = EncodeBatcher(identity_network(8, 8), max_batch=4,
-                                max_delay_s=100.0, faults=faults)
-        ticket = batcher.submit(np.ones(8))
+                                faults=faults)
+        (ticket,) = batcher.submit_many(np.ones((1, 8)))
         batcher.flush()
         with pytest.raises(TransientError):
             ticket.result()
         # The schedule fired once; the next submit encodes cleanly.
-        assert batcher.submit(np.ones(8)).result().shape == (8,)
+        (ticket,) = batcher.submit_many(np.ones((1, 8)))
+        assert ticket.result().shape == (8,)
 
     def test_wrong_row_count_from_encoder_poisons_typed(self):
         def encode(matrix):
             return np.ones((matrix.shape[0] + 1, 8))
 
-        batcher = EncodeBatcher(encode, max_batch=4, max_delay_s=100.0)
-        ticket = batcher.submit(np.ones(8))
+        batcher = EncodeBatcher(encode, max_batch=4)
+        (ticket,) = batcher.submit_many(np.ones((1, 8)))
         with pytest.raises(ReproError):
             ticket.result()
 

@@ -1,6 +1,10 @@
 """Tests for the online serving layer: sharded index, micro-batcher,
 service facade, and store-backed model/index snapshots."""
 
+import itertools
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,12 @@ from repro.config import TrainConfig, UHSCMConfig
 from repro.core.hashing_network import HashingNetwork
 from repro.core.persistence import save_uhscm
 from repro.core.uhscm import UHSCM
-from repro.errors import ConfigurationError, NotFittedError, ShapeError
+from repro.errors import (
+    ConfigurationError,
+    NotFittedError,
+    OverloadedError,
+    ShapeError,
+)
 from repro.pipeline import ArtifactStore
 from repro.retrieval import HammingIndex, make_backend
 from repro.serving import (
@@ -90,35 +99,22 @@ class TestShardedIndex:
 class TestEncodeBatcher:
     def test_size_trigger(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=3, max_delay_s=100.0)
+        batcher = EncodeBatcher(net, max_batch=3)
         vectors = np.random.default_rng(0).normal(size=(5, 8))
-        tickets = [batcher.submit(v) for v in vectors]
+        tickets = batcher.submit_many(vectors)
+        assert not any(t.ready for t in tickets)  # submit never forwards
+        assert len(batcher) == 5
+        assert tickets[0].result().shape == (16,)
         assert [t.ready for t in tickets] == [True] * 3 + [False] * 2
-        assert batcher.flushes == 1
-        assert len(batcher) == 2
-
-    def test_deadline_trigger(self):
-        clock = [0.0]
-        net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=100, max_delay_s=1.0,
-                                clock=lambda: clock[0])
-        first = batcher.submit(np.zeros(8))
-        assert not batcher.poll()
-        clock[0] = 2.0
-        assert batcher.poll()  # deadline passed -> flush
-        assert first.ready
-        assert batcher.deadline_flushes == 1
-        # a submit after the deadline also drains the stale queue first
-        batcher.submit(np.zeros(8))
-        clock[0] = 5.0
-        late = batcher.submit(np.ones(8))
-        assert batcher.flushes == 2  # the stale row flushed before enqueue
-        assert not late.ready
+        got = np.stack([t.result() for t in tickets])
+        np.testing.assert_array_equal(got, net.encode(vectors))
+        assert batcher.stats()["flush_sizes"] == {3: 1, 2: 1}
+        assert len(batcher) == 0
 
     def test_result_forces_flush(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=100, max_delay_s=100.0)
-        ticket = batcher.submit(np.full(8, 0.5))
+        batcher = EncodeBatcher(net, max_batch=100)
+        (ticket,) = batcher.submit_many(np.full((1, 8), 0.5))
         code = ticket.result()
         np.testing.assert_array_equal(code, net.encode(np.full((1, 8), 0.5))[0])
         assert batcher.flushes == 1
@@ -127,22 +123,22 @@ class TestEncodeBatcher:
         net = identity_network()
         vectors = np.random.default_rng(1).normal(size=(7, 8))
         batcher = EncodeBatcher(net, max_batch=4)
-        tickets = [batcher.submit(v) for v in vectors]
-        batcher.flush()
+        tickets = batcher.submit_many(vectors)
+        assert batcher.flush() == 7
         got = np.stack([t.result() for t in tickets])
         np.testing.assert_array_equal(got, net.encode(vectors))
 
     def test_float32_dtype_policy(self):
         net = identity_network(dtype="float32")
         batcher = EncodeBatcher(net, max_batch=2)
-        ticket = batcher.submit(np.random.default_rng(2).normal(size=8))
+        (ticket,) = batcher.submit_many(
+            np.random.default_rng(2).normal(size=(1, 8)))
         assert ticket.result().shape == (16,)
 
     def test_stats_histogram(self):
         net = identity_network()
-        batcher = EncodeBatcher(net, max_batch=2, max_delay_s=100.0)
-        for v in np.random.default_rng(3).normal(size=(5, 8)):
-            batcher.submit(v)
+        batcher = EncodeBatcher(net, max_batch=2)
+        batcher.submit_many(np.random.default_rng(3).normal(size=(5, 8)))
         batcher.flush()
         stats = batcher.stats()
         assert stats["requests"] == 5
@@ -153,10 +149,164 @@ class TestEncodeBatcher:
         net = identity_network()
         with pytest.raises(ConfigurationError):
             EncodeBatcher(net, max_batch=0)
-        with pytest.raises(ConfigurationError):
-            EncodeBatcher(net, max_delay_s=-1.0)
         with pytest.raises(ShapeError):
-            EncodeBatcher(net).submit(np.float64(3.0))
+            EncodeBatcher(net).submit_many(np.float64(3.0))
+        with pytest.raises(ShapeError):
+            EncodeBatcher(net).submit_many(np.zeros(8))  # no item axis
+
+
+class GatedEncoder:
+    """Encoder whose forwards block until ``release`` is set.
+
+    Counts the forwards in flight, so a test can assert the batcher never
+    overlaps two of them.
+    """
+
+    n_bits = 16
+
+    def __init__(self, net):
+        self.net = net
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+        self._inflight = 0
+        self.max_inflight = 0
+
+    def encode(self, matrix):
+        with self._lock:
+            self._inflight += 1
+            self.max_inflight = max(self.max_inflight, self._inflight)
+        try:
+            self.entered.set()
+            assert self.release.wait(10)
+            return self.net.encode(matrix)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
+class TestIdleFlushing:
+    """The batcher forwards when idle and batches only what queued."""
+
+    def gated_service(self, db, **kwargs):
+        encoder = GatedEncoder(identity_network())
+        service = HashingService(encoder, backend="bruteforce", **kwargs)
+        encoder.release.set()  # let the database load through
+        service.add(db)
+        encoder.release.clear()
+        encoder.entered.clear()
+        return encoder, service
+
+    def oracle(self, db, rows):
+        service = HashingService(identity_network(), backend="bruteforce")
+        service.add(db)
+        return [service.query(row, top_k=3) for row in rows]
+
+    def test_isolated_query_takes_ceil_n_over_max_batch_forwards(self):
+        # The clock only feeds the latency histograms: however far it
+        # jumps between rows, one 300-row query is three forwards.
+        ticks = itertools.count(0.0, 1.0)
+        rng = np.random.default_rng(5)
+        db, queries = rng.normal(size=(40, 8)), rng.normal(size=(300, 8))
+        service = HashingService(identity_network(), backend="bruteforce",
+                                 max_batch=128, clock=lambda: next(ticks))
+        service.add(db)
+        ids, dist = service.query(queries, top_k=3)
+        assert service.batcher.stats()["flush_sizes"] == {128: 2, 44: 1}
+        reference = HammingIndex(16).add(identity_network().encode(db))
+        ref_ids, ref_dist = reference.search(
+            identity_network().encode(queries), top_k=3)
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(dist, ref_dist)
+
+    def test_rows_queued_behind_a_forward_share_the_next(self):
+        n = 6
+        rng = np.random.default_rng(6)
+        db, rows = rng.normal(size=(30, 8)), rng.normal(size=(n, 8))
+        encoder, service = self.gated_service(db, max_batch=64)
+        answers = [None] * n
+
+        def client(i):
+            answers[i] = service.query(rows[i], top_k=3)
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(n)]
+        try:
+            threads[0].start()
+            assert encoder.entered.wait(10)  # the first forward is held
+            for thread in threads[1:]:
+                thread.start()
+            assert wait_until(lambda: len(service.batcher) == n - 1)
+        finally:
+            encoder.release.set()
+            for thread in threads:
+                thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.batcher.stats()["flush_sizes"] == {1: 1, n - 1: 1}
+        assert encoder.max_inflight == 1
+        for got, want in zip(answers, self.oracle(db, rows)):
+            assert got is not None
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_max_pending_holds_under_concurrent_queries(self):
+        n_queries, rows_each, bound = 6, 3, 8
+        rng = np.random.default_rng(7)
+        db = rng.normal(size=(30, 8))
+        queries = rng.normal(size=(n_queries, rows_each, 8))
+        encoder, service = self.gated_service(db, max_batch=64,
+                                              max_pending=bound)
+        answers, shed = [None] * n_queries, []
+        peak = [0]
+        done = threading.Event()
+
+        def client(i):
+            try:
+                answers[i] = service.query(queries[i], top_k=3)
+            except OverloadedError:
+                shed.append(i)
+
+        def monitor():
+            while not done.is_set():
+                peak[0] = max(peak[0], len(service.batcher))
+
+        holder = threading.Thread(
+            target=lambda: service.query(rng.normal(size=8), top_k=3))
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(n_queries)]
+        watcher = threading.Thread(target=monitor)
+        try:
+            holder.start()
+            assert encoder.entered.wait(10)  # the first forward is held
+            watcher.start()
+            for thread in threads:
+                thread.start()
+            total = n_queries * rows_each
+            assert wait_until(lambda: service.stats()["shed"]
+                              + len(service.batcher) == total)
+            accepted = len(service.batcher)
+        finally:
+            encoder.release.set()
+            for thread in [holder, *threads]:
+                thread.join(10)
+            done.set()
+            watcher.join(10)
+        assert not any(t.is_alive() for t in [holder, *threads, watcher])
+        assert peak[0] <= bound
+        assert accepted == (bound // rows_each) * rows_each
+        assert accepted + service.stats()["shed"] == total
+        assert len(shed) * rows_each == service.stats()["shed"]
+        oracle = self.oracle(db, queries)
+        for i in set(range(n_queries)) - set(shed):
+            np.testing.assert_array_equal(answers[i][0], oracle[i][0])
+            np.testing.assert_array_equal(answers[i][1], oracle[i][1])
 
 
 class TestHashingService:
