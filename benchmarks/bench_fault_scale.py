@@ -70,8 +70,8 @@ def _network() -> HashingNetwork:
 
 def _service(store, faults, clock) -> HashingService:
     return HashingService(
-        _network(), store=store, n_shards=N_SHARDS,
-        shard_backend="bruteforce", faults=faults, clock=clock,
+        _network(), store=store, n_shards=N_SHARDS, faults=faults,
+        clock=clock,
         backend_options={"breaker_threshold": 3,
                          "breaker_reset_s": BREAKER_RESET_S},
     )

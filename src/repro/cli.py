@@ -178,9 +178,6 @@ def _add_serving(parser: argparse.ArgumentParser) -> None:
                              "print its fingerprint (requires --cache-dir; "
                              "swap targets need a fingerprint)")
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--shard-backend", default="bruteforce",
-                        help="backend each shard runs "
-                             "(bruteforce, multi-index)")
     parser.add_argument("--batch", type=int, default=256,
                         help="most rows per encode forward")
 
@@ -274,8 +271,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1
     store, data, _, model = loaded
     service = HashingService(
-        model, store=store, n_shards=args.shards,
-        shard_backend=args.shard_backend, max_batch=args.batch,
+        model, store=store, n_shards=args.shards, max_batch=args.batch,
         workers=args.workers,
     )
     service.load_database(
@@ -357,8 +353,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
     def build_service(encoder) -> HashingService:
         service = HashingService(
-            encoder, store=store, n_shards=args.shards,
-            shard_backend=args.shard_backend, max_batch=args.batch,
+            encoder, store=store, n_shards=args.shards, max_batch=args.batch,
             workers=args.workers,
         )
         service.load_database(
@@ -507,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--backend", default=None,
                         help="serving backend for retrieval "
-                             "(e.g. bruteforce, multi-index); "
+                             "(bruteforce or sharded); "
                              "default: direct BLAS distances")
     p_eval.set_defaults(func=_cmd_eval)
 

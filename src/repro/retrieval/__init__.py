@@ -2,9 +2,9 @@
 
 The backend registry (:mod:`repro.retrieval.backend`) exposes every index
 through the :class:`RetrievalBackend` protocol: ``"bruteforce"`` is the
-bit-packed linear scan, ``"multi-index"`` the sublinear MIH structure, and
-``"sharded"`` hash-partitions rows across any of the others.  All support
-incremental ``add()``/``remove()``, and all agree bit-for-bit.
+bit-packed linear scan and ``"sharded"`` hash-partitions rows across
+brute-force shards.  Both support incremental ``add()``/``remove()``, and
+both agree bit-for-bit.
 """
 
 from repro.retrieval.backend import (
@@ -25,11 +25,9 @@ from repro.retrieval.hamming import (
     PackedCodes,
     hamming_distance_matrix,
     pack_codes,
-    packed_distances_to_one,
     packed_hamming_distance,
     unpack_codes,
 )
-from repro.retrieval.multi_index import MultiIndexHammingIndex
 from repro.retrieval.sharded import ShardedIndex
 from repro.retrieval.metrics import (
     PAPER_MAP_DEPTH,
@@ -46,7 +44,6 @@ from repro.retrieval.protocol import relevance_matrix
 __all__ = [
     "HammingIndex",
     "Hasher",
-    "MultiIndexHammingIndex",
     "PAPER_MAP_DEPTH",
     "PAPER_PN_POINTS",
     "PRCurve",
@@ -64,7 +61,6 @@ __all__ = [
     "mean_average_precision",
     "mean_average_precision_from_distances",
     "pack_codes",
-    "packed_distances_to_one",
     "packed_hamming_distance",
     "pr_curve_hamming",
     "precision_at_n",

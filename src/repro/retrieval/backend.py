@@ -10,11 +10,9 @@ freely:
   :meth:`~RetrievalBackend.search` and :meth:`~RetrievalBackend.radius_search`.
 - :func:`register_backend` / :func:`make_backend` — a tiny name registry.
   ``"bruteforce"`` is the bit-packed linear-scan
-  :class:`~repro.retrieval.engine.HammingIndex`; ``"multi-index"`` is the
-  sublinear :class:`~repro.retrieval.multi_index.MultiIndexHammingIndex`;
-  ``"sharded"`` is the hash-partitioned
-  :class:`~repro.retrieval.sharded.ShardedIndex` composing any of the
-  others as its shard type.  All are tested to agree bit-for-bit.
+  :class:`~repro.retrieval.engine.HammingIndex`; ``"sharded"`` is the
+  hash-partitioned :class:`~repro.retrieval.sharded.ShardedIndex` over
+  brute-force shards.  Both are tested to agree bit-for-bit.
 
 Stable ids: rows are numbered in insertion order starting at 0 and keep
 their id for the lifetime of the index — ``remove()`` never renumbers.
@@ -87,7 +85,6 @@ def _ensure_builtin_backends() -> None:
     # Importing the modules runs their register_backend decorators; done
     # lazily so `repro.retrieval.backend` has no import cycle with them.
     import repro.retrieval.engine  # noqa: F401
-    import repro.retrieval.multi_index  # noqa: F401
     import repro.retrieval.sharded  # noqa: F401
 
 

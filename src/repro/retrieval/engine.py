@@ -251,7 +251,7 @@ def evaluate_codes(
     """Full evaluation of precomputed hash codes.
 
     ``backend`` optionally routes distance computation through a registered
-    serving backend (``"bruteforce"``, ``"multi-index"``, or an instance)
+    serving backend (``"bruteforce"``, ``"sharded"``, or an instance)
     instead of the direct BLAS path; all backends are exact, so the metrics
     are identical either way.  Distances are ranked once and MAP, P@N and
     the PR curve all read that one ranking.

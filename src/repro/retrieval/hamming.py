@@ -5,13 +5,11 @@ Hash codes live in {-1, +1}^k (paper §3.1).  Two distance paths are provided:
 - :func:`hamming_distance_matrix` — BLAS path using the identity
   ``Hd(b_i, b_j) = (k - b_i·b_j) / 2`` (paper §3.4); fastest in numpy.
 - :class:`PackedCodes` + :func:`packed_hamming_distance` — bit-packed uint8
-  storage with hardware popcount (``np.bitwise_count`` over uint64 words on
-  numpy >= 2, byte-LUT fallback otherwise), the representation a production
-  system would ship (64x smaller than float codes).  Tested to agree
-  exactly with the BLAS path.
-- :func:`packed_distances_to_one` — single-query popcount against a packed
-  row subset, the candidate-verification primitive the multi-index serving
-  path uses (no float conversion, no re-validation).
+  storage with hardware popcount (``np.bitwise_count`` over the widest
+  uint64/uint32/uint16 words that divide the byte width on numpy >= 2,
+  byte-LUT fallback otherwise), the representation a production system
+  would ship (64x smaller than float codes).  Tested to agree exactly with
+  the BLAS path.
 """
 
 from __future__ import annotations
@@ -32,20 +30,9 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 _QUERY_CHUNK = 256
 
-
-def _popcount_rows(xor: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a (..., n_bytes) uint8 XOR buffer (uint16 out).
-
-    With a hardware popcount available, byte widths that are a multiple of
-    8 are reinterpreted as uint64 words first — for 64-bit codes that is a
-    single popcount per code pair instead of an 8-byte LUT gather.
-    """
-    if _HAS_BITWISE_COUNT:
-        if xor.shape[-1] % 8 == 0 and xor.shape[-1] > 0:
-            words = np.ascontiguousarray(xor).view(np.uint64)
-            return np.bitwise_count(words).sum(axis=-1, dtype=np.uint16)
-        return np.bitwise_count(xor).sum(axis=-1, dtype=np.uint16)
-    return _POPCOUNT[xor].sum(axis=-1, dtype=np.uint16)
+#: Popcount words, widest first; the first that divides a code's byte width
+#: is used (odd byte widths popcount byte by byte).
+_WORDS = (np.uint64, np.uint32, np.uint16)
 
 
 def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,28 +97,6 @@ def unpack_codes(packed: PackedCodes) -> np.ndarray:
     return np.where(bools.astype(bool), 1.0, -1.0)
 
 
-def packed_distances_to_one(
-    query_bits: np.ndarray, db_bits: np.ndarray
-) -> np.ndarray:
-    """Hamming distances from one packed query row to many packed db rows.
-
-    ``query_bits`` is a 1-D uint8 row (one code), ``db_bits`` a 2-D uint8
-    matrix of packed codes with the same byte width.  Returns a 1-D uint16
-    distance vector.  Padding bits must be zero on both sides (as produced
-    by :func:`pack_codes`), so they never contribute to the XOR popcount.
-    """
-    if query_bits.ndim != 1 or db_bits.ndim != 2:
-        raise ShapeError(
-            f"expected 1-D query and 2-D db, got {query_bits.shape} "
-            f"and {db_bits.shape}"
-        )
-    if query_bits.shape[0] != db_bits.shape[1]:
-        raise ShapeError(
-            f"byte widths differ: {query_bits.shape[0]} vs {db_bits.shape[1]}"
-        )
-    return _popcount_rows(db_bits ^ query_bits[None, :])
-
-
 def packed_hamming_distance(a: PackedCodes, b: PackedCodes) -> np.ndarray:
     """Pairwise Hamming distances between packed code sets (uint16 matrix).
 
@@ -140,15 +105,16 @@ def packed_hamming_distance(a: PackedCodes, b: PackedCodes) -> np.ndarray:
     if a.n_bits != b.n_bits:
         raise ShapeError(f"code lengths differ: {a.n_bits} vs {b.n_bits}")
     a_bits, b_bits = a.bits, b.bits
-    if (_HAS_BITWISE_COUNT and a_bits.shape[1] % 8 == 0
-            and a_bits.shape[1] > 0):
-        # Reinterpret both operands as uint64 words *before* the pairwise
-        # XOR: the broadcast buffer shrinks 8x in element count, and each
-        # word resolves with one hardware popcount.
-        a_bits = np.ascontiguousarray(a_bits).view(np.uint64)
-        b_bits = np.ascontiguousarray(b_bits).view(np.uint64)
-        popcount = np.bitwise_count
-    elif _HAS_BITWISE_COUNT:
+    if _HAS_BITWISE_COUNT:
+        # Reinterpret both operands as the widest words that divide the
+        # byte width *before* the pairwise XOR: the broadcast buffer
+        # shrinks by the word size in element count, and each word
+        # resolves with one hardware popcount (32-bit codes: one uint32).
+        word = next((w for w in _WORDS
+                     if a_bits.shape[1] % np.dtype(w).itemsize == 0), None)
+        if word is not None:
+            a_bits = np.ascontiguousarray(a_bits).view(word)
+            b_bits = np.ascontiguousarray(b_bits).view(word)
         popcount = np.bitwise_count
     else:
         popcount = _POPCOUNT.__getitem__
@@ -157,7 +123,7 @@ def packed_hamming_distance(a: PackedCodes, b: PackedCodes) -> np.ndarray:
         chunk = a_bits[start : start + _QUERY_CHUNK]
         xor = chunk[:, None, :] ^ b_bits[None, :, :]
         counts = popcount(xor)
-        if counts.shape[2] == 1:  # 64-bit codes: one word, nothing to sum
+        if counts.shape[2] == 1:  # one word per code, nothing to sum
             out[start : start + _QUERY_CHUNK] = counts[:, :, 0]
         else:
             out[start : start + _QUERY_CHUNK] = counts.sum(

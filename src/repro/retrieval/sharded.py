@@ -1,8 +1,9 @@
 """Hash-partitioned retrieval backend: N child indexes behind one facade.
 
 :class:`ShardedIndex` registers as the ``"sharded"``
-:mod:`~repro.retrieval.backend` and composes any registered backend as its
-shard type.  Rows are partitioned by stable id (``id % n_shards``) so
+:mod:`~repro.retrieval.backend` and holds one brute-force
+:class:`~repro.retrieval.engine.HammingIndex` per shard.  Rows are
+partitioned by stable id (``id % n_shards``) so
 ``add``/``remove`` route deterministically, ``search``/``radius_search``
 fan out across every shard, and per-shard top-k results merge with
 ``(distance, id)`` tie-breaking — bit-identical to the same rows held in a
@@ -10,11 +11,12 @@ single index, which is what lets the serving layer
 (:mod:`repro.serving`) scale the database out without changing a single
 result.
 
-Each child backend numbers its rows locally in its own insertion order; the
-facade keeps one append-only ``local -> global`` id array per shard (global
-ids are assigned monotonically, so each array stays sorted and the reverse
-``global -> local`` lookup is a binary search).  Children never renumber on
-``remove``, so the arrays are valid for the lifetime of the index.
+Each shard numbers its rows locally in its own insertion order.  Global ids
+are assigned consecutively and routed round-robin, so local row ``j`` of
+shard ``s`` is always global id ``s + j * n_shards``: both directions of
+the id mapping are arithmetic, and no per-shard id table exists.  Shards
+never renumber on ``remove``, so the mapping holds for the lifetime of the
+index.
 
 **Graceful degradation** (PR 7): every shard sits behind a
 :class:`~repro.utils.retry.CircuitBreaker`.  A shard that raises during
@@ -59,11 +61,8 @@ from repro.errors import (
     ShapeError,
     ShardUnavailableError,
 )
-from repro.retrieval.backend import (
-    RetrievalBackend,
-    make_backend,
-    register_backend,
-)
+from repro.retrieval.backend import register_backend
+from repro.retrieval.engine import HammingIndex
 from repro.utils.faults import NULL_INJECTOR, FaultInjector
 from repro.utils.parallel import WorkerPool
 from repro.utils.retry import CLOSED, CircuitBreaker
@@ -77,7 +76,7 @@ MISSING_ID = -1
 
 @register_backend("sharded")
 class ShardedIndex:
-    """Hash-partitioned Hamming index over ``n_shards`` child backends.
+    """Hash-partitioned Hamming index over ``n_shards`` brute-force shards.
 
     Parameters
     ----------
@@ -85,12 +84,6 @@ class ShardedIndex:
         Code length ``k``.
     n_shards:
         Number of partitions; rows route to shard ``id % n_shards``.
-    shard_backend:
-        Registered backend name used for every shard (``"bruteforce"``,
-        ``"multi-index"``, ... — anything except ``"sharded"`` itself).
-    shard_options:
-        Extra keyword arguments forwarded to every shard's constructor
-        (e.g. ``{"n_tables": 4}`` for multi-index shards).
     breaker_threshold / breaker_reset_s / clock:
         Per-shard :class:`~repro.utils.retry.CircuitBreaker` tuning:
         consecutive failures before a shard's circuit opens, seconds until
@@ -108,8 +101,6 @@ class ShardedIndex:
         self,
         n_bits: int,
         n_shards: int = 4,
-        shard_backend: str = "bruteforce",
-        shard_options: dict | None = None,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
@@ -120,64 +111,32 @@ class ShardedIndex:
             raise ShapeError(f"n_bits must be positive: {n_bits}")
         if n_shards <= 0:
             raise ConfigurationError(f"n_shards must be positive: {n_shards}")
-        if shard_backend == "sharded":
-            raise ConfigurationError("sharded shards cannot nest")
         self.n_bits = n_bits
         self.n_shards = n_shards
-        self.shard_backend = shard_backend
-        self.shard_options = dict(shard_options or {})
         self.faults = faults
-        self._init_shard_state(breaker_threshold, breaker_reset_s, clock)
+        self._shards = [HammingIndex(n_bits) for _ in range(n_shards)]
+        self._breakers = [
+            CircuitBreaker(failure_threshold=breaker_threshold,
+                           reset_timeout_s=breaker_reset_s, clock=clock)
+            for _ in range(n_shards)
+        ]
         #: Whether the most recent fan-out answered from a shard subset.
         self.last_query_degraded = False
         self._next_id = 0
         self._n_alive = 0
         self._pool = WorkerPool(workers, name="shard")
 
-    def _init_shard_state(
-        self,
-        breaker_threshold: int,
-        breaker_reset_s: float,
-        clock: Callable[[], float],
-    ) -> None:
-        """Build all per-shard state in one pass — the single seam both the
-        serial and the pooled fan-out initialize through.
-
-        Per shard: the child backend, its circuit breaker, and the
-        append-only ``local -> global`` id array (global ids are assigned
-        monotonically, so each array stays sorted ascending by
-        construction).
-        """
-        self._shards: list[RetrievalBackend] = []
-        self._breakers: list[CircuitBreaker] = []
-        self._shard_gids: list[np.ndarray] = []
-        for _ in range(self.n_shards):
-            self._shards.append(
-                make_backend(self.shard_backend, self.n_bits,
-                             **self.shard_options)
-            )
-            self._breakers.append(
-                CircuitBreaker(failure_threshold=breaker_threshold,
-                               reset_timeout_s=breaker_reset_s, clock=clock)
-            )
-            self._shard_gids.append(_EMPTY_IDS.copy())
-
     # -- mutation ---------------------------------------------------------------
 
     def add(self, codes: np.ndarray) -> "ShardedIndex":
         """Append ±1 codes; new rows get the next insertion-order ids."""
         codes = self._check_codes(codes)
-        gids = np.arange(self._next_id, self._next_id + codes.shape[0],
-                         dtype=np.int64)
-        shard_of = gids % self.n_shards
         for si in range(self.n_shards):
-            mask = shard_of == si
-            if not mask.any():
-                continue
-            self._shards[si].add(codes[mask])
-            self._shard_gids[si] = np.concatenate(
-                [self._shard_gids[si], gids[mask]]
-            )
+            # Row r gets global id _next_id + r, which routes to shard si
+            # when r ≡ si - _next_id (mod n_shards).
+            rows = codes[(si - self._next_id) % self.n_shards::self.n_shards]
+            if rows.shape[0]:
+                self._shards[si].add(rows)
         self._next_id += codes.shape[0]
         self._n_alive += codes.shape[0]
         return self
@@ -191,10 +150,9 @@ class ShardedIndex:
             sel = ids[ids % self.n_shards == si]
             if sel.size == 0:
                 continue
-            local = np.searchsorted(self._shard_gids[si], sel)
-            # Every in-range id routed here was added here, so the lookup
-            # always lands; the child ignores already-removed locals.
-            removed += self._shards[si].remove(local)
+            # Every in-range id routed here was added here as local row
+            # id // n_shards; the shard ignores already-removed locals.
+            removed += self._shards[si].remove(sel // self.n_shards)
         self._n_alive -= removed
         return removed
 
@@ -209,8 +167,8 @@ class ShardedIndex:
         return tuple(len(shard) for shard in self._shards)
 
     @property
-    def shards(self) -> tuple[RetrievalBackend, ...]:
-        """The child backends (read-only view; do not mutate directly)."""
+    def shards(self) -> tuple[HammingIndex, ...]:
+        """The shard indexes (read-only view; do not mutate directly)."""
         return tuple(self._shards)
 
     @property
@@ -330,7 +288,7 @@ class ShardedIndex:
         dist_blocks = []
         for si, result in results:
             local_ids, dist = result
-            gid_blocks.append(self._shard_gids[si][local_ids])
+            gid_blocks.append(local_ids * self.n_shards + si)
             dist_blocks.append(dist)
         if not gid_blocks:
             self.last_query_degraded = True
@@ -343,8 +301,10 @@ class ShardedIndex:
         all_dist = np.concatenate(dist_blocks, axis=1)
         # One composite int key per candidate gives a row-wise lexsort by
         # (distance, id): distances are integers in [0, n_bits] and ids are
-        # below _next_id, so the product never collides or overflows.
-        composite = (all_dist.astype(np.int64) * np.int64(self._next_id)
+        # below the multiplier, so the product never collides or overflows.
+        # The multiplier comes from the candidates, so the merge reads no
+        # index state a concurrent add could move after the probes.
+        composite = (all_dist.astype(np.int64) * (all_gids.max() + 1)
                      + all_gids)
         order = np.argsort(composite, axis=1, kind="stable")[:, :top_k]
         merged_gids = np.take_along_axis(all_gids, order, axis=1)
@@ -388,7 +348,7 @@ class ShardedIndex:
         for si, hits in results:
             answered = True
             for qi, local_hits in enumerate(hits):
-                per_query[qi].append(self._shard_gids[si][local_hits])
+                per_query[qi].append(local_hits * self.n_shards + si)
         if not answered and degraded:
             self.last_query_degraded = True
             raise ShardUnavailableError(

@@ -26,6 +26,7 @@ index's stable internal insertion-order ids.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Callable
 from pathlib import Path
@@ -140,8 +141,8 @@ class HashingService:
         snapshots (and recording serve-stage counters).
     backend / backend_options:
         Registered index backend name plus its constructor options.  The
-        default is a ``"sharded"`` index; ``n_shards`` / ``shard_backend``
-        are conveniences folded into the options.
+        default is a ``"sharded"`` index; ``n_shards`` is a convenience
+        folded into its options.
     max_batch:
         Most rows one :class:`EncodeBatcher` forward takes from its queue.
     max_delay_s:
@@ -181,7 +182,6 @@ class HashingService:
         store: ArtifactStore | None = None,
         backend: str = "sharded",
         n_shards: int = 4,
-        shard_backend: str = "bruteforce",
         backend_options: dict | None = None,
         max_batch: int = 256,
         max_delay_s: float | None = None,
@@ -215,7 +215,6 @@ class HashingService:
         options = dict(backend_options or {})
         if backend == "sharded":
             options.setdefault("n_shards", n_shards)
-            options.setdefault("shard_backend", shard_backend)
             options.setdefault("faults", faults)
             options.setdefault("clock", clock)
             options.setdefault("workers", workers)
@@ -236,6 +235,9 @@ class HashingService:
         self._ext_ids = np.empty(0, dtype=np.int64)
         #: external -> internal for the alive rows.
         self._int_by_ext: dict[int, int] = {}
+        #: Serializes the writers (``_register``, ``remove``); queries take
+        #: no lock.
+        self._write_lock = threading.Lock()
         self._db_encodes = 0
         self._warm_loads = 0
         self._snapshot_mmap = False
@@ -374,53 +376,63 @@ class HashingService:
         return self._register(codes, ids)
 
     def _register(self, codes: np.ndarray, ids: np.ndarray | None) -> np.ndarray:
-        n_new = codes.shape[0]
-        internal = np.arange(self._ext_ids.size, self._ext_ids.size + n_new,
-                             dtype=np.int64)
-        if ids is None:
-            external = internal
-            collisions = [e for e in external.tolist()
-                          if e in self._int_by_ext]
-            if collisions:
-                raise ConfigurationError(
-                    f"auto-assigned id(s) {collisions[:5]} collide with "
-                    f"caller-assigned external ids; pass explicit ids= to "
-                    f"this add()"
-                )
-        else:
-            external = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-            if external.shape != (n_new,):
-                raise ShapeError(
-                    f"got {external.size} ids for {n_new} rows"
-                )
-            if np.unique(external).size != n_new:
-                raise ConfigurationError("external ids must be unique")
-            collisions = [e for e in external.tolist() if e in self._int_by_ext]
-            if collisions:
-                raise ConfigurationError(
-                    f"external id(s) already in use: {collisions[:5]}"
-                )
-        self.index.add(codes)
-        self._ext_ids = np.concatenate([self._ext_ids, external])
-        self._int_by_ext.update(
-            zip(external.tolist(), internal.tolist())
-        )
-        return external.copy()
+        with self._write_lock:
+            n_new = codes.shape[0]
+            start = self._ext_ids.size
+            internal = np.arange(start, start + n_new, dtype=np.int64)
+            if ids is None:
+                external = internal
+                collisions = [e for e in external.tolist()
+                              if e in self._int_by_ext]
+                if collisions:
+                    raise ConfigurationError(
+                        f"auto-assigned id(s) {collisions[:5]} collide with "
+                        f"caller-assigned external ids; pass explicit ids= "
+                        f"to this add()"
+                    )
+            else:
+                external = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+                if external.shape != (n_new,):
+                    raise ShapeError(
+                        f"got {external.size} ids for {n_new} rows"
+                    )
+                if np.unique(external).size != n_new:
+                    raise ConfigurationError("external ids must be unique")
+                collisions = [e for e in external.tolist()
+                              if e in self._int_by_ext]
+                if collisions:
+                    raise ConfigurationError(
+                        f"external id(s) already in use: {collisions[:5]}"
+                    )
+            # Publish the id table before the index: a query that finds a
+            # new row must already be able to map its internal id.
+            previous = self._ext_ids
+            self._ext_ids = np.concatenate([previous, external])
+            try:
+                self.index.add(codes)
+            except BaseException:
+                self._ext_ids = previous
+                raise
+            self._int_by_ext.update(
+                zip(external.tolist(), internal.tolist())
+            )
+            return external.copy()
 
     def remove(self, ids: np.ndarray) -> int:
         """Remove rows by external id (unknown ids are ignored)."""
         self._check_open()
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-        known = [e for e in dict.fromkeys(ids.tolist())
-                 if e in self._int_by_ext]
-        if not known:
-            return 0
-        internal = np.array([self._int_by_ext[e] for e in known],
-                            dtype=np.int64)
-        removed = self.index.remove(internal)
-        for e in known:
-            del self._int_by_ext[e]
-        return removed
+        with self._write_lock:
+            known = [e for e in dict.fromkeys(ids.tolist())
+                     if e in self._int_by_ext]
+            if not known:
+                return 0
+            internal = np.array([self._int_by_ext[e] for e in known],
+                                dtype=np.int64)
+            removed = self.index.remove(internal)
+            for e in known:
+                del self._int_by_ext[e]
+            return removed
 
     # -- queries ----------------------------------------------------------------
 

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.retrieval import (
     HammingIndex,
-    MultiIndexHammingIndex,
     RetrievalBackend,
     backend_names,
     evaluate_codes,
@@ -35,29 +34,21 @@ class TestRegistry:
     def test_builtin_names(self):
         names = backend_names()
         assert "bruteforce" in names
-        assert "multi-index" in names
 
     def test_make_backend_types(self):
         assert isinstance(make_backend("bruteforce", 16), HammingIndex)
-        assert isinstance(make_backend("multi-index", 16), MultiIndexHammingIndex)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
             make_backend("faiss", 16)
 
-    def test_kwargs_pass_through(self):
-        index = make_backend("multi-index", 16, n_tables=2)
-        assert index.n_tables == 2
-
     def test_sharded_registered(self):
         from repro.serving import ShardedIndex
 
-        index = make_backend("sharded", 16, n_shards=3,
-                             shard_backend="multi-index",
-                             shard_options={"n_tables": 2})
+        index = make_backend("sharded", 16, n_shards=3)
         assert isinstance(index, ShardedIndex)
         assert index.n_shards == 3
-        assert all(shard.n_tables == 2 for shard in index.shards)
+        assert all(isinstance(shard, HammingIndex) for shard in index.shards)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_unknown_kwargs_raise_configuration_error(self, name):
@@ -69,8 +60,7 @@ class TestRegistry:
         assert name in message
         assert "bogus_option" in message
         accepted = message.split("accepted options: ")[1]
-        expected = {"bruteforce": "(none)", "multi-index": "n_tables",
-                    "sharded": "n_shards"}[name]
+        expected = {"bruteforce": "(none)", "sharded": "n_shards"}[name]
         assert expected in accepted
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -175,49 +165,6 @@ class TestRemove:
         assert (dist.ravel() == 0).all()
         np.testing.assert_array_equal(ids.ravel(), [12, 13])
 
-    def test_mih_vacuum_preserves_results(self):
-        db = random_codes(80, 16, seed=7)
-        queries = random_codes(5, 16, seed=8)
-        mih = MultiIndexHammingIndex(16, n_tables=4).add(db)
-        mih.remove(np.arange(0, 80, 3))
-        before = mih.search(queries, top_k=10)
-        mih.vacuum()
-        after = mih.search(queries, top_k=10)
-        np.testing.assert_array_equal(before[0], after[0])
-        np.testing.assert_array_equal(before[1], after[1])
-
-
-class TestBackendsAgreeUnderChurn:
-    """Brute force and MIH must stay bit-identical through add/remove cycles."""
-
-    @pytest.mark.parametrize("n_tables", [1, 3, 4])
-    def test_agreement_after_cycles(self, n_tables):
-        rng = np.random.default_rng(9)
-        k = 16
-        brute = HammingIndex(k)
-        mih = MultiIndexHammingIndex(k, n_tables=n_tables)
-        alive = 0
-        for step in range(4):
-            batch = random_codes(40, k, seed=100 + step)
-            brute.add(batch)
-            mih.add(batch)
-            alive += 40
-            # Draw removals from the whole id space seen so far; ids that
-            # were already removed in a previous cycle are ignored.
-            drop = rng.choice(np.arange((step + 1) * 40), size=8, replace=False)
-            alive -= brute.remove(drop)
-            mih.remove(drop)
-            assert len(brute) == len(mih) == alive
-        queries = random_codes(8, k, seed=10)
-        b_ids, b_dist = brute.search(queries, top_k=12)
-        m_ids, m_dist = mih.search(queries, top_k=12)
-        np.testing.assert_array_equal(b_ids, m_ids)
-        np.testing.assert_array_equal(b_dist, m_dist)
-        for radius in (0, 3, k):
-            for rb, rm in zip(brute.radius_search(queries, radius),
-                              mih.radius_search(queries, radius)):
-                np.testing.assert_array_equal(np.sort(rb), rm)
-
 
 class TestEvaluateCodesBackend:
     @pytest.mark.parametrize("name", BACKENDS)
@@ -239,7 +186,7 @@ class TestEvaluateCodesBackend:
         db = random_codes(12, 8, seed=22)
         ql = np.ones((3, 2), dtype=int)
         dl = np.ones((12, 2), dtype=int)
-        index = MultiIndexHammingIndex(8, n_tables=2)
+        index = HammingIndex(8)
         report = evaluate_codes(q, db, ql, dl, pn_points=(4,), backend=index)
         base = evaluate_codes(q, db, ql, dl, pn_points=(4,))
         assert report.map == pytest.approx(base.map)

@@ -68,6 +68,17 @@ class TestHammingDistances:
         packed = packed_hamming_distance(pack_codes(codes), pack_codes(codes))
         np.testing.assert_array_equal(blas, packed.astype(float))
 
+    @pytest.mark.parametrize("k", [8, 12, 16, 24, 32, 40, 48, 64, 96, 128])
+    def test_packed_matches_blas_at_every_word_width(self, k):
+        # Byte widths 1..16 take every popcount word (uint8, uint16, uint32,
+        # uint64) and multi-word sums; 300 queries span two query chunks.
+        a = random_codes(300, k, seed=k)
+        b = random_codes(70, k, seed=k + 1)
+        b[0] = -a[0]  # distance k: every bit, padding excluded
+        packed = packed_hamming_distance(pack_codes(a), pack_codes(b))
+        assert packed[0, 0] == k
+        np.testing.assert_array_equal(packed, hamming_distance_matrix(a, b))
+
     @given(codes_strategy)
     @settings(max_examples=40, deadline=None)
     def test_property_pack_roundtrip(self, rows):

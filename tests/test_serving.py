@@ -2,6 +2,7 @@
 service facade, and store-backed model/index snapshots."""
 
 import itertools
+import sys
 import threading
 import time
 
@@ -19,7 +20,7 @@ from repro.errors import (
     ShapeError,
 )
 from repro.pipeline import ArtifactStore
-from repro.retrieval import HammingIndex, make_backend
+from repro.retrieval import HammingIndex
 from repro.serving import (
     INDEX_STAGE,
     EncodeBatcher,
@@ -46,11 +47,10 @@ class TestShardedIndex:
         assert index.shard_sizes == (4, 3, 3)  # ids 0,3,6,9 / 1,4,7 / 2,5,8
         assert len(index) == 10
 
-    @pytest.mark.parametrize("shard_backend", ["bruteforce", "multi-index"])
-    def test_merge_identical_to_single_index_under_churn(self, shard_backend):
+    def test_merge_identical_to_single_index_under_churn(self):
         k = 32
         single = HammingIndex(k)
-        sharded = ShardedIndex(k, n_shards=3, shard_backend=shard_backend)
+        sharded = ShardedIndex(k, n_shards=3)
         rng = np.random.default_rng(3)
         for step in range(3):
             batch = random_codes(50, k, seed=50 + step)
@@ -85,15 +85,8 @@ class TestShardedIndex:
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             ShardedIndex(8, n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedIndex(8, shard_backend="sharded")
         with pytest.raises(ShapeError):
             ShardedIndex(0)
-
-    def test_shard_options_forwarded(self):
-        index = ShardedIndex(16, n_shards=2, shard_backend="multi-index",
-                             shard_options={"n_tables": 2})
-        assert all(shard.n_tables == 2 for shard in index.shards)
 
 
 class TestEncodeBatcher:
@@ -323,7 +316,7 @@ class TestHashingService:
         service.load_database(db)
         ids, dist = service.query(queries, top_k=7)
         net = identity_network()
-        reference = make_backend("multi-index", 16).add(net.encode(db))
+        reference = HammingIndex(16).add(net.encode(db))
         r_ids, r_dist = reference.search(net.encode(queries), top_k=7)
         np.testing.assert_array_equal(ids, r_ids)
         np.testing.assert_array_equal(dist, r_dist)
@@ -369,6 +362,59 @@ class TestHashingService:
         with pytest.raises(ConfigurationError):
             service.add(np.ones((3, 8)))  # would auto-assign 1, 2, 3
         assert len(service) == 1  # nothing was indexed by the refused add
+
+    def test_query_between_index_add_and_return_maps_every_hit(self):
+        # A query that finds the new rows right after the index append must
+        # already be able to map their internal ids to external ones.
+        rng = np.random.default_rng(13)
+        service = self.make_service()
+        service.load_database(rng.normal(size=(20, 8)))
+        vectors = rng.normal(size=(4, 8))
+        index_add = service.index.add
+        answers = []
+
+        def add_then_query(codes):
+            index_add(codes)
+            answers.append(service.query(vectors, top_k=24))
+
+        service.index.add = add_then_query
+        service.add(vectors, ids=[100, 101, 102, 103])
+        (ids, _), = answers
+        expected = set(range(20)) | {100, 101, 102, 103}
+        assert all(set(row.tolist()) == expected for row in ids)
+
+    def test_concurrent_explicit_id_adds_map_each_id_to_its_row(self):
+        rng = np.random.default_rng(14)
+        service = self.make_service(dim=32, bits=64)
+        n_threads, n_adds, rows = 2, 40, 3
+        vectors = rng.normal(size=(n_threads, n_adds, rows, 32))
+        ext_ids = (np.arange(n_threads)[:, None, None] * 1000
+                   + np.arange(n_adds * rows).reshape(n_adds, rows))
+        errors = []
+
+        def writer(t):
+            try:
+                for i in range(n_adds):
+                    service.add(vectors[t, i], ids=ext_ids[t, i])
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(service) == n_threads * n_adds * rows
+        ids, dist = service.query(vectors.reshape(-1, 32), top_k=1)
+        np.testing.assert_array_equal(ids.ravel(), ext_ids.ravel())
+        assert (dist == 0).all()
 
     def test_empty_query_raises(self):
         service = self.make_service()
