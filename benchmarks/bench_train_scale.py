@@ -4,7 +4,7 @@ Acceptance gate for the training-engine refactor, at the paper's batch size
 (128) and code length (64 bits):
 
 1. the vectorized contrastive losses must match the seed loop
-   implementations (kept as ``_reference_*`` oracles in ``core/losses.py``)
+   implementations (the ``reference_*`` oracles in ``tests/loss_oracles.py``)
    to <= 1e-9 in value and gradient in float64, both modes;
 2. the new float64 engine's per-epoch loss trajectory must match a faithful
    replica of the seed trainer (loop losses, per-batch ``np.ix_`` gather,
@@ -21,6 +21,9 @@ The seed classes below are frozen copies of the original implementation
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.config import TrainConfig, UHSCMConfig
@@ -29,8 +32,6 @@ from repro.core.losses import (
     _EPS,
     _cosine_grad_to_z,
     _normalize_rows,
-    _reference_cib_contrastive_loss,
-    _reference_modified_contrastive_loss,
     cib_contrastive_loss,
     modified_contrastive_loss,
     quantization_loss,
@@ -41,6 +42,13 @@ from repro.nn.optim import Optimizer
 from repro.utils.rng import as_generator
 
 from conftest import assert_speedup, timed
+
+# The loop oracles live with the test suite, not in the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.loss_oracles import (  # noqa: E402
+    reference_cib_contrastive_loss,
+    reference_modified_contrastive_loss,
+)
 
 N_TRAIN = 512
 FEATURE_DIM = 128
@@ -239,7 +247,7 @@ def _check_loss_equivalence():
     q = (q + q.T) / 2
     np.fill_diagonal(q, 1.0)
     value, grad = modified_contrastive_loss(z, q, lam=0.6, gamma=0.2)
-    ref_value, ref_grad = _reference_modified_contrastive_loss(
+    ref_value, ref_grad = reference_modified_contrastive_loss(
         z, q, lam=0.6, gamma=0.2
     )
     assert abs(value - ref_value) <= LOSS_TOL
@@ -247,7 +255,7 @@ def _check_loss_equivalence():
 
     z2 = rng.normal(size=(BATCH_SIZE, N_BITS))
     value, g1, g2 = cib_contrastive_loss(z, z2, gamma=0.2)
-    ref_value, r1, r2 = _reference_cib_contrastive_loss(z, z2, gamma=0.2)
+    ref_value, r1, r2 = reference_cib_contrastive_loss(z, z2, gamma=0.2)
     assert abs(value - ref_value) <= LOSS_TOL
     np.testing.assert_allclose(g1, r1, atol=LOSS_TOL, rtol=0)
     np.testing.assert_allclose(g2, r2, atol=LOSS_TOL, rtol=0)

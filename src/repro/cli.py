@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--backend", default=None,
                         help="serving backend for retrieval "
                              "(bruteforce or sharded); "
-                             "default: direct BLAS distances")
+                             "default: the packed popcount kernel")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_serve = sub.add_parser(

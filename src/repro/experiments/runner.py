@@ -64,7 +64,7 @@ class ExperimentContext:
     seed: int = 0
     epochs: int | None = None
     #: Optional retrieval serving backend name (see repro.retrieval.backend);
-    #: None keeps the direct BLAS distance path.  All backends are exact, so
+    #: None keeps the packed popcount kernel.  All backends are exact, so
     #: table/figure numbers are identical either way.
     backend: str | None = None
     #: Optional artifact store making fits resumable and Q shareable across

@@ -8,9 +8,11 @@ the exactness reference for every other backend.
 
 :func:`evaluate_hashing` is the experiment-shaped piece: given a fitted
 hashing method and a dataset it computes every §4.2 metric in one pass.
-:func:`evaluate_codes` accepts an optional ``backend`` so the same metrics
-can be driven through any registered serving index instead of the direct
-BLAS distance path.
+:func:`evaluate_codes` walks the queries in cache-sized blocks and ranks
+each block once (:mod:`~repro.retrieval.metrics`).  The block's distances
+come from the packed popcount kernel, or, given a ``backend``, from that
+serving index's ``search`` over the block, so the same metrics can be
+driven through any registered backend.
 
 Incremental semantics: ``add()`` appends (stable insertion-order ids),
 ``remove(ids)`` drops rows by id without renumbering survivors, and all
@@ -20,6 +22,7 @@ call, never per database row.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -32,8 +35,10 @@ from repro.retrieval.backend import (
     register_backend,
 )
 from repro.retrieval.hamming import (
+    BLOCK_ROWS,
     PackedCodes,
-    hamming_distance_matrix,
+    distance_dtype,
+    packed_distance_blocks,
     packed_hamming_distance,
 )
 from repro.retrieval.metrics import (
@@ -43,12 +48,12 @@ from repro.retrieval.metrics import (
     _check_depths,
     _check_rank_inputs,
     _mean_average_precision,
+    _pack_pair,
     _pr_curve,
     _precision_at,
-    _ranked_relevance,
-    _sort_key,
+    _rank_blocks,
 )
-from repro.retrieval.protocol import relevance_matrix
+from repro.retrieval.protocol import prepare_labels, shares_label
 from repro.utils.validation import check_binary_codes
 
 
@@ -199,17 +204,19 @@ class RetrievalReport:
         return f"RetrievalReport(k={self.n_bits}, MAP={self.map:.3f}, {pn})"
 
 
-def _backend_distance_matrix(
+def _backend_distance_blocks(
     backend: str | RetrievalBackend,
     query_codes: np.ndarray,
     db_codes: np.ndarray,
-) -> np.ndarray:
-    """Full (n_query, n_db) distance matrix served through a backend.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, distances)`` per block of queries, served by a backend.
 
-    A string builds a fresh index over ``db_codes`` from the registry; a
-    backend instance is used as-is (filled with ``db_codes`` when empty —
-    a prebuilt instance must hold exactly ``db_codes`` in order, with ids
-    0..n-1, for the metrics to be meaningful).
+    Each block is one ``search`` for every database row, scattered back
+    into database order.  A string builds a fresh index over ``db_codes``
+    from the registry; a backend instance is used as-is (filled with
+    ``db_codes`` when empty — a prebuilt instance must hold exactly
+    ``db_codes`` in order, with ids 0..n-1, for the metrics to be
+    meaningful).
     """
     if isinstance(backend, str):
         index = make_backend(backend, db_codes.shape[1])
@@ -222,21 +229,24 @@ def _backend_distance_matrix(
         raise ShapeError(
             f"backend holds {len(index)} rows, database has {n_db}"
         )
-    ids, dist = index.search(query_codes, top_k=len(index))
-    if ids.min() < 0 or ids.max() >= n_db:
-        raise ShapeError(
-            f"backend ids must cover 0..{n_db - 1} (a prebuilt index with "
-            f"removals has renumbered gaps); got id range "
-            f"[{ids.min()}, {ids.max()}]"
-        )
-    distances = np.full((query_codes.shape[0], n_db), np.inf)
-    rows = np.arange(query_codes.shape[0])[:, None]
-    distances[rows, ids] = dist
-    if np.isinf(distances).any():
-        raise ShapeError(
-            "backend search did not return every database id for every query"
-        )
-    return distances
+    dtype = distance_dtype(db_codes.shape[1])
+    for start in range(0, query_codes.shape[0], BLOCK_ROWS):
+        ids, dist = index.search(query_codes[start:start + BLOCK_ROWS],
+                                 top_k=n_db)
+        if ids.min() < 0 or ids.max() >= n_db:
+            raise ShapeError(
+                f"backend ids must cover 0..{n_db - 1} (a prebuilt index with "
+                f"removals has renumbered gaps); got id range "
+                f"[{ids.min()}, {ids.max()}]"
+            )
+        distances = np.full((ids.shape[0], n_db), np.inf)
+        distances[np.arange(ids.shape[0])[:, None], ids] = dist
+        if np.isinf(distances).any():
+            raise ShapeError(
+                "backend search did not return every database id for every "
+                "query"
+            )
+        yield start, distances.astype(dtype)
 
 
 def evaluate_codes(
@@ -252,32 +262,38 @@ def evaluate_codes(
 
     ``backend`` optionally routes distance computation through a registered
     serving backend (``"bruteforce"``, ``"sharded"``, or an instance)
-    instead of the direct BLAS path; all backends are exact, so the metrics
-    are identical either way.  Distances are ranked once and MAP, P@N and
-    the PR curve all read that one ranking.
+    instead of the packed popcount kernel; all backends are exact, so the
+    metrics are identical either way.  Each block of queries is ranked
+    once, and MAP, P@N and the PR curve all read that one ranking.
     """
     _check_depths(top_n, pn_points)
-    relevance = relevance_matrix(query_labels, db_labels)
-    # Distances are computed once and kept only as the integer sort key,
-    # which every metric below reads.
-    key = _sort_key(
-        hamming_distance_matrix(query_codes, db_codes) if backend is None
-        else _backend_distance_matrix(backend, query_codes, db_codes)
-    )
-    _check_rank_inputs(key, relevance)
-    n_db = db_codes.shape[0]
+    query_rows, db_rows = prepare_labels(query_labels, db_labels)
+    query, db = _pack_pair(query_codes, db_codes)
+    shape = (len(query), len(db))
+    _check_rank_inputs(shape, (len(query_rows), len(db_rows)))
+    n_db = shape[1]
     usable_points = tuple(p for p in pn_points if p <= n_db)
     if not usable_points and pn_points:
         # Every requested point exceeds the database; clamp to its size
         # (order-independent — pn_points need not be sorted).
         usable_points = (n_db,)
     top_n = min(top_n, n_db)
-    ranked = _ranked_relevance(key, relevance, max(top_n, *usable_points))
+    blocks = (
+        packed_distance_blocks(query, db) if backend is None
+        else _backend_distance_blocks(
+            backend, np.asarray(query_codes, dtype=np.float64),
+            np.asarray(db_codes, dtype=np.float64))
+    )
+    ranked, counts = _rank_blocks(
+        blocks,
+        lambda start, stop: shares_label(query_rows[start:stop], db_rows),
+        shape, max(top_n, *usable_points), query.n_bits,
+    )
     return RetrievalReport(
         map=_mean_average_precision(ranked, top_n),
         precision_at_n=_precision_at(ranked, usable_points),
-        pr_curve=_pr_curve(key, relevance, query_codes.shape[1]),
-        n_bits=query_codes.shape[1],
+        pr_curve=_pr_curve(counts),
+        n_bits=query.n_bits,
     )
 
 

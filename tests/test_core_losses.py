@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.losses import (
-    _reference_cib_contrastive_loss,
-    _reference_modified_contrastive_loss,
     cib_contrastive_loss,
     cib_objective,
     modified_contrastive_loss,
@@ -18,6 +16,10 @@ from repro.core.losses import (
 )
 from repro.errors import ShapeError
 from tests.conftest import numerical_gradient
+from tests.loss_oracles import (
+    reference_cib_contrastive_loss,
+    reference_modified_contrastive_loss,
+)
 
 
 @pytest.fixture()
@@ -143,7 +145,7 @@ class TestVectorizedEquivalence:
     def test_mcl_matches_reference(self, rng, t, k, lam):
         z, q = _random_batch(rng, t, k)
         loss, grad = modified_contrastive_loss(z, q, lam=lam, gamma=0.2)
-        ref_loss, ref_grad = _reference_modified_contrastive_loss(
+        ref_loss, ref_grad = reference_modified_contrastive_loss(
             z, q, lam=lam, gamma=0.2
         )
         assert loss == pytest.approx(ref_loss, abs=1e-9)
@@ -156,7 +158,7 @@ class TestVectorizedEquivalence:
         q[0, 1:] = 0.0  # row 0 has no positives at lam=0.5
         q[1:, 0] = 0.0
         loss, grad = modified_contrastive_loss(z, q, lam=0.5, gamma=0.3)
-        ref_loss, ref_grad = _reference_modified_contrastive_loss(
+        ref_loss, ref_grad = reference_modified_contrastive_loss(
             z, q, lam=0.5, gamma=0.3
         )
         assert loss == pytest.approx(ref_loss, abs=1e-9)
@@ -169,7 +171,7 @@ class TestVectorizedEquivalence:
         q[:, 0] = 0.99
         q[0, 0] = 1.0
         loss, grad = modified_contrastive_loss(z, q, lam=0.5, gamma=0.3)
-        ref_loss, ref_grad = _reference_modified_contrastive_loss(
+        ref_loss, ref_grad = reference_modified_contrastive_loss(
             z, q, lam=0.5, gamma=0.3
         )
         assert loss == pytest.approx(ref_loss, abs=1e-9)
@@ -179,7 +181,7 @@ class TestVectorizedEquivalence:
         z, q = _random_batch(rng, 5, 4)
         for lam in (2.0, -1.0):  # no positives anywhere / no negatives
             loss, grad = modified_contrastive_loss(z, q, lam=lam, gamma=0.3)
-            ref_loss, ref_grad = _reference_modified_contrastive_loss(
+            ref_loss, ref_grad = reference_modified_contrastive_loss(
                 z, q, lam=lam, gamma=0.3
             )
             assert loss == ref_loss == 0.0
@@ -190,7 +192,7 @@ class TestVectorizedEquivalence:
         z1 = rng.normal(size=(t, k))
         z2 = rng.normal(size=(t, k))
         loss, g1, g2 = cib_contrastive_loss(z1, z2, gamma=0.4)
-        ref_loss, r1, r2 = _reference_cib_contrastive_loss(z1, z2, gamma=0.4)
+        ref_loss, r1, r2 = reference_cib_contrastive_loss(z1, z2, gamma=0.4)
         assert loss == pytest.approx(ref_loss, abs=1e-9)
         np.testing.assert_allclose(g1, r1, atol=1e-9, rtol=0)
         np.testing.assert_allclose(g2, r2, atol=1e-9, rtol=0)
@@ -200,7 +202,7 @@ class TestVectorizedEquivalence:
         breakdown, grad = uhscm_objective(z, q, alpha=0.3, beta=0.01,
                                           gamma=0.25, lam=0.5)
         ls, gs = similarity_preserving_loss(z, q)
-        lc, gc = _reference_modified_contrastive_loss(z, q, lam=0.5,
+        lc, gc = reference_modified_contrastive_loss(z, q, lam=0.5,
                                                       gamma=0.25)
         lq, gq = quantization_loss(z)
         assert breakdown.total == pytest.approx(ls + 0.3 * lc + 0.01 * lq,
@@ -237,7 +239,7 @@ class TestCibObjective:
         _, q = _random_batch(rng, 6, 8)
         breakdown, g1, g2 = cib_objective(z1, z2, q, alpha=0.2, beta=0.001,
                                           gamma=0.4)
-        jc, c1, c2 = _reference_cib_contrastive_loss(z1, z2, gamma=0.4)
+        jc, c1, c2 = reference_cib_contrastive_loss(z1, z2, gamma=0.4)
         ls, gs = similarity_preserving_loss(z1, q)
         lq, gq = quantization_loss(z1)
         assert breakdown.total == pytest.approx(
